@@ -16,7 +16,6 @@ import numpy as np
 from . import irrationality, jsonio, orbit_explorer, torus_forms
 from .errors import DomainError
 from .isometries import (
-    adapted_basis,
     eichler_transvection,
     gu_lattice_generators,
     is_in_gu,

@@ -1,9 +1,10 @@
 """Exact integer and rational linear algebra on plain nested lists.
 
 Everything here is arbitrary precision (Python ints, fractions.Fraction);
-no floating point.  Matrices are lists of rows.  These are the primitives
-behind the lattice layer: canonical Hermite/Smith forms, integer kernels,
-exact inertia, and rational elimination.
+no floating point.  Inputs may be any sequence of rows (lists or tuples);
+results are lists of lists.  These are the primitives behind the lattice
+layer: canonical Hermite/Smith forms, integer kernels, exact inertia, and
+rational elimination.
 """
 
 from fractions import Fraction

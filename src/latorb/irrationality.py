@@ -111,10 +111,9 @@ def from_columns(symbols, columns) -> SymbolicRealVector:
 
 def transform(g, y: SymbolicRealVector) -> SymbolicRealVector:
     """Exact action of an isometry on the coefficient matrix."""
-    m = [list(r) for r in g.matrix]
-    if len(m) != y.rank:
+    if len(g.matrix) != y.rank:
         raise DimensionMismatch("isometry rank does not match the vector")
-    new_cols = [intlin.mat_vec(m, col) for col in y.columns()]
+    new_cols = [intlin.mat_vec(g.matrix, col) for col in y.columns()]
     return from_columns(y.symbols, new_cols)
 
 
@@ -136,9 +135,8 @@ def symbolic_inner(L: QuadLattice, y: SymbolicRealVector, v):
 def _constraint_rows(L, y):
     """One integer row per symbol, cutting out the exact orthogonal lattice."""
     rows = []
-    g = [list(r) for r in L.gram]
     for col in y.columns():
-        row = intlin.mat_vec(intlin.transpose(g), col)
+        row = intlin.mat_vec(L.gram, col)  # the gram matrix is symmetric
         den = 1
         for x in row:
             den = den * x.denominator // math.gcd(den, x.denominator)
@@ -152,8 +150,8 @@ def rational_constraint_lattice(L: QuadLattice, y: SymbolicRealVector) -> Sublat
         raise DimensionMismatch("vector length must match the lattice")
     rows = [r for r in _constraint_rows(L, y) if any(r)]
     if not rows:
-        return Sublattice(tuple(tuple(r) for r in intlin.identity(L.rank)))
-    return Sublattice(tuple(tuple(r) for r in intlin.kernel_basis(rows)))
+        return Sublattice(intlin.identity(L.rank))
+    return Sublattice(intlin.kernel_basis(rows))
 
 
 def _interval_from_fraction(x: Fraction):
@@ -171,11 +169,10 @@ def certified_norm_sign(L: QuadLattice, y: SymbolicRealVector, precision_bits=12
     """
     if y.rank != L.rank:
         raise DimensionMismatch("vector length must match the lattice")
-    g = [list(r) for r in L.gram]
     cols = y.columns()
     pair = [
         [
-            sum(a * b for a, b in zip(intlin.mat_vec(g, cs), ct))
+            sum(a * b for a, b in zip(intlin.mat_vec(L.gram, cs), ct))
             for ct in cols
         ]
         for cs in cols
@@ -221,7 +218,7 @@ def is_u_orthoirrational(
         raise NotPositiveNorm("y must have positive norm")
     z, comp = split_hyperbolic(L, u)
     n = L.rank
-    cols = [list(u), list(z)] + [list(b) for b in comp.basis]
+    cols = [u, z, *comp.basis]
     t = [[cols[j][i] for j in range(n)] for i in range(n)]
     tinv = intlin.rational_inverse(t)
     projected = []
@@ -246,7 +243,7 @@ def find_isotropic_orthogonal(L: QuadLattice, y: SymbolicRealVector, height):
     k = constraint.rank
     if k == 0:
         return []
-    basis = [list(b) for b in constraint.basis]
+    basis = constraint.basis
     bt = intlin.transpose(basis)  # columns are the basis vectors
     gramk = intlin.mat_mul(basis, bt)
     ginv = intlin.rational_inverse(gramk)
@@ -267,7 +264,7 @@ def find_isotropic_orthogonal(L: QuadLattice, y: SymbolicRealVector, height):
             continue  # keep one representative per ±pair
         if intlin.vector_gcd(v) != 1:
             continue
-        gv = intlin.mat_vec([list(r) for r in L.gram], v)
+        gv = intlin.mat_vec(L.gram, v)
         if sum(a * b for a, b in zip(gv, v)) != 0:
             continue
         out.append(tuple(v))

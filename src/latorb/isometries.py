@@ -30,6 +30,7 @@ from .lattice_core import (
     is_isotropic,
     is_primitive,
     split_hyperbolic,
+    sublattice_gram,
 )
 
 
@@ -46,40 +47,61 @@ class Isometry:
         n = self.lattice.rank
         if len(m) != n or any(len(row) != n for row in m):
             raise DimensionMismatch("matrix does not match the lattice rank")
-        g = [list(r) for r in self.lattice.gram]
-        mm = [list(r) for r in m]
-        mt = intlin.transpose(mm)
-        if not intlin.mat_eq(intlin.mat_mul(intlin.mat_mul(mt, g), mm), g):
+        g = self.lattice.gram
+        mtg = intlin.mat_mul(intlin.transpose(m), g)
+        # MᵀGM = G with det G ≠ 0 already forces det M = ±1
+        if not intlin.mat_eq(intlin.mat_mul(mtg, m), g):
             raise ValueError("matrix does not preserve the bilinear form")
-        # the Gram identity forces det^2 = 1; keep the check as a tripwire
-        assert abs(intlin.det_bareiss(mm)) == 1
 
     @property
     def det(self):
-        return intlin.det_bareiss([list(r) for r in self.matrix])
+        return intlin.det_bareiss(self.matrix)
 
 
 def identity_isometry(L: QuadLattice) -> Isometry:
-    return Isometry(tuple(tuple(r) for r in intlin.identity(L.rank)), L)
+    return Isometry(intlin.identity(L.rank), L)
 
 
 def apply(g: Isometry, v):
     if len(v) != g.lattice.rank:
         raise DimensionMismatch("vector length does not match the lattice")
-    return tuple(intlin.mat_vec([list(r) for r in g.matrix], list(v)))
+    return tuple(intlin.mat_vec(g.matrix, v))
 
 
 def compose(g: Isometry, h: Isometry) -> Isometry:
     """g ∘ h — h acts first."""
     if g.lattice != h.lattice:
         raise DimensionMismatch("isometries act on different lattices")
-    m = intlin.mat_mul([list(r) for r in g.matrix], [list(r) for r in h.matrix])
-    return Isometry(tuple(tuple(r) for r in m), g.lattice)
+    return Isometry(intlin.mat_mul(g.matrix, h.matrix), g.lattice)
 
 
 def invert(g: Isometry) -> Isometry:
-    m = intlin.integer_inverse([list(r) for r in g.matrix])
-    return Isometry(tuple(tuple(r) for r in m), g.lattice)
+    return Isometry(intlin.integer_inverse(g.matrix), g.lattice)
+
+
+def _transvect(L: QuadLattice, e, a, ge, ga, xs):
+    """Images of the vectors xs under x ↦ x + (x,e)a − (x,a)e − ½(a,a)(x,e)e.
+
+    ge and ga are gram_column(L, e) and gram_column(L, a).  Needs (e,e) = 0,
+    (e,a) = 0 and an even lattice, so the correction term is integral.
+    """
+    if not is_even(L):
+        raise ValueError("transvections need an even lattice")
+    if _dot(ge, e) != 0:
+        raise NotIsotropic("e must be isotropic")
+    if _dot(ge, a) != 0:
+        raise ValueError("a must pair to zero with e")
+    half_aa = _dot(ga, a) // 2
+    out = []
+    for x in xs:
+        xe = _dot(ge, x)
+        c = _dot(ga, x) + half_aa * xe
+        out.append([xi + xe * ai - c * ei for xi, ai, ei in zip(x, a, e)])
+    return out
+
+
+def _dot(v, w):
+    return sum(x * y for x, y in zip(v, w))
 
 
 def eichler_transvection(L: QuadLattice, e, a) -> Isometry:
@@ -88,38 +110,16 @@ def eichler_transvection(L: QuadLattice, e, a) -> Isometry:
     Needs (e,e) = 0, (e,a) = 0 and an even lattice, so the correction term
     is integral.  Fixes e; inverse is the transvection at (e, −a).
     """
-    if not is_even(L):
-        raise ValueError("transvections need an even lattice")
-    e = list(e)
-    a = list(a)
-    if inner(L, e, e) != 0:
-        raise NotIsotropic("e must be isotropic")
-    if inner(L, e, a) != 0:
-        raise ValueError("a must pair to zero with e")
-    ge = gram_column(L, e)
-    ga = gram_column(L, a)
-    half_aa = inner(L, a, a) // 2
-    n = L.rank
-    cols = []
-    for j in range(n):
-        col = [0] * n
-        col[j] = 1
-        for i in range(n):
-            col[i] += ge[j] * a[i] - ga[j] * e[i] - half_aa * ge[j] * e[i]
-        cols.append(col)
-    return Isometry(tuple(zip(*cols)), L)
+    ge, ga = gram_column(L, e), gram_column(L, a)
+    cols = _transvect(L, e, a, ge, ga, intlin.identity(L.rank))
+    return Isometry(intlin.transpose(cols), L)
 
 
 @lru_cache(maxsize=None)
 def _positive_frame(L: QuadLattice):
     """Orthogonal rational basis of a maximal positive subspace, with norms."""
-    basis = intlin.positive_basis([list(r) for r in L.gram])
-    g = [list(r) for r in L.gram]
-    norms = []
-    for v in basis:
-        gv = intlin.mat_vec(g, v)
-        norms.append(sum(x * y for x, y in zip(gv, v)))
-    return basis, norms
+    basis = intlin.positive_basis(L.gram)
+    return basis, [_dot(intlin.mat_vec(L.gram, v), v) for v in basis]
 
 
 def is_in_so_plus(g: Isometry) -> bool:
@@ -134,21 +134,14 @@ def is_in_so_plus(g: Isometry) -> bool:
     basis, norms = _positive_frame(g.lattice)
     if not basis:
         return True
-    gram = [list(r) for r in g.lattice.gram]
-    m = [list(r) for r in g.matrix]
     proj = []
     for v in basis:
-        gv = intlin.mat_vec(m, v)
-        ggv = intlin.mat_vec(gram, gv)
-        proj.append(
-            [
-                sum(x * y for x, y in zip(ggv, p)) / nrm
-                for p, nrm in zip(basis, norms)
-            ]
-        )
+        gv = intlin.mat_vec(g.matrix, v)
+        ggv = intlin.mat_vec(g.lattice.gram, gv)
+        proj.append([_dot(ggv, p) / nrm for p, nrm in zip(basis, norms)])
     d = 1
     # fraction-free elimination is overkill at these sizes; Gauss over Q
-    mat = [row[:] for row in intlin.transpose(proj)]
+    mat = intlin.transpose(proj)
     n = len(mat)
     sign = 1
     for c in range(n):
@@ -216,11 +209,7 @@ def _hyperbolic_frame(L: QuadLattice) -> _Frame:
     f1, comp = split_hyperbolic(L, e1)
     if comp.rank < 2:
         raise NoHyperbolicSplit("lattice has no second hyperbolic plane")
-    inner_gram = QuadLattice(
-        tuple(
-            tuple(inner(L, v, w) for w in comp.basis) for v in comp.basis
-        )
-    )
+    inner_gram = QuadLattice(sublattice_gram(L, comp))
     j = next((k for k in range(comp.rank) if inner_gram.gram[k][k] == 0), None)
     if j is None:
         raise NoHyperbolicSplit("no isotropic vector in the split complement")
@@ -238,26 +227,29 @@ def _hyperbolic_frame(L: QuadLattice) -> _Frame:
     cols = [e1, f1, e2, f2, *rest]
     t = [[cols[j][i] for j in range(n)] for i in range(n)]
     tinv = intlin.integer_inverse(t)
-    return _Frame(e1, f1, e2, f2, rest, tuple(tuple(r) for r in tinv))
+    return _Frame(e1, f1, e2, f2, rest, tinv)
 
 
 class _Reduction:
-    """Accumulates a word of transvections driving a vector to frame.e1."""
+    """Accumulates a word of transvections driving a vector to frame.e1.
+
+    The word is a list of (e, a) pairs, applied first to last.
+    """
 
     def __init__(self, L, frame, t):
         self.L = L
         self.fr = frame
-        self.t = tuple(t)
-        self.word = identity_isometry(L)
+        self.t = list(t)
+        self.word = []
 
     def coords(self):
-        c = intlin.mat_vec([list(r) for r in self.fr.tinv], list(self.t))
+        c = intlin.mat_vec(self.fr.tinv, self.t)
         return c[0], c[1], c[2], c[3], c[4:]
 
     def emit(self, e, a):
-        g = eichler_transvection(self.L, e, a)
-        self.t = apply(g, self.t)
-        self.word = compose(g, self.word)
+        ge, ga = gram_column(self.L, e), gram_column(self.L, a)
+        self.t = _transvect(self.L, e, a, ge, ga, [self.t])[0]
+        self.word.append((e, a))
 
     # The four elementary moves act on the 2×2 coefficient matrix
     # M = [[α, −γ], [δ, β]] of t over (e1, f1) × (e2, f2):
@@ -300,7 +292,8 @@ class _Reduction:
             # with a pure translation (the e1-pairing is zero, so no
             # quadratic correction appears)
             d, coeffs = intlin.xgcd_vector(self.rest_pairings())
-            assert d == 1  # unimodularity: primitive vectors pair onto 1
+            if d != 1:  # unimodularity: primitive vectors pair onto 1
+                raise AssertionError("remainder pairings are not coprime")
             self.emit(self.fr.e1, self.rest_combination([-c for c in coeffs]))
         self.dance()
         al, be, ga, de, _ = self.coords()
@@ -308,17 +301,20 @@ class _Reduction:
             # fold the remainder divisor into the plane coefficients, then
             # rerun the euclidean dance; primitivity forces gcd 1 overall
             d, coeffs = intlin.xgcd_vector(self.rest_pairings())
-            assert d > 0
+            if d <= 0:
+                raise AssertionError("remainder pairings vanish")
             self.emit(self.fr.e2, self.rest_combination(coeffs))
             self.dance()
             al, be, ga, de, _ = self.coords()
-        assert al == 1 and ga == 0 and de == 0
+        if not (al == 1 and ga == 0 and de == 0):
+            raise AssertionError("euclidean dance left a non-unit corner")
         w = tuple(
             x - al * e - be * f
             for x, e, f in zip(self.t, self.fr.e1, self.fr.f1)
         )
         self.emit(self.fr.f1, tuple(-x for x in w))
-        assert self.t == self.fr.e1
+        if tuple(self.t) != self.fr.e1:
+            raise AssertionError("reduction did not reach the frame vector")
         return self.word
 
     def dance(self):
@@ -361,9 +357,11 @@ def map_isotropic(L: QuadLattice, u, v) -> Isometry:
     Requires two orthogonal hyperbolic-plane summands (as in the rank-6
     and rank-22 models).  Both vectors are reduced to a common frame
     vector by words in Eichler transvections; the result is the second
-    word's inverse composed with the first.  Transvection words always
-    land in the identity component, so the orientation repair below is a
-    tripwire rather than an expected path.
+    word's inverse composed with the first, applied to the identity
+    columns and validated once.  The inverse of a word is the reversed
+    word with every a negated.  Transvection words always land in the
+    identity component, so the orientation repair below is a tripwire
+    rather than an expected path.
     """
     for t in (u, v):
         if len(t) != L.rank:
@@ -373,10 +371,15 @@ def map_isotropic(L: QuadLattice, u, v) -> Isometry:
         if not is_primitive(L, t):
             raise NotPrimitive("endpoints must be primitive")
     frame = _hyperbolic_frame(L)
-    gu = _Reduction(L, frame, u).run()
-    gv = _Reduction(L, frame, v).run()
-    g = compose(invert(gv), gu)
-    assert apply(g, u) == tuple(v)
+    word_u = _Reduction(L, frame, u).run()
+    word_v = _Reduction(L, frame, v).run()
+    word = word_u + [(e, [-x for x in a]) for e, a in reversed(word_v)]
+    cols = intlin.identity(L.rank)
+    for e, a in word:
+        cols = _transvect(L, e, a, gram_column(L, e), gram_column(L, a), cols)
+    g = Isometry(intlin.transpose(cols), L)
+    if apply(g, u) != tuple(v):
+        raise AssertionError("transvection word does not carry u to v")
     if g.det == 1 and is_in_so_plus(g):
         return g
     g = _orientation_repair(L, frame, g, tuple(v))
@@ -429,13 +432,14 @@ def adapted_basis(L: QuadLattice, u) -> AdaptedBasis:
     square = extend_to_unimodular_basis(Sublattice((tuple(coords),)))
     # rows of the transpose form a Z-basis of coordinate space starting at
     # the u-row; rotate it to the end
-    change = intlin.transpose([list(r) for r in square])
+    change = intlin.transpose(square)
     new_rows = [
         tuple(sum(c * k for c, k in zip(row, col)) for col in zip(*ker))
         for row in change
     ]
     ordered = tuple(new_rows[1:]) + (new_rows[0],)
-    assert ordered[-1] == u
+    if ordered[-1] != u:
+        raise AssertionError("adapted basis does not end at u")
     return AdaptedBasis(ordered, u)
 
 
@@ -454,22 +458,23 @@ def _solve_overdetermined(a, b):
     sol = intlin.rational_solve([a[i] for i in idx], [b[i] for i in idx])
     out = []
     for x in sol:
-        assert x.denominator == 1
+        if x.denominator != 1:
+            raise AssertionError("overdetermined solution is not integral")
         out.append(int(x))
-    assert intlin.mat_vec(a, out) == list(b)
+    if intlin.mat_vec(a, out) != list(b):
+        raise AssertionError("overdetermined system has no exact solution")
     return out
 
 
 def _vector_matches(g, y):
     """Exact g(y) = y for integer vectors or symbolic real vectors."""
-    m = [list(r) for r in g.matrix]
     if hasattr(y, "coeffs"):
         for col in _symbol_columns(y):
-            if intlin.mat_vec(m, col) != col:
+            if intlin.mat_vec(g.matrix, col) != col:
                 return False
         return True
     y = list(y)
-    return intlin.mat_vec(m, y) == y
+    return intlin.mat_vec(g.matrix, y) == y
 
 
 def _symbol_columns(y):
@@ -478,10 +483,9 @@ def _symbol_columns(y):
 
 def _difference_in_span(g, y, u):
     """g(y) − y ∈ Span{u}, checked per symbol for symbolic vectors."""
-    m = [list(r) for r in g.matrix]
-    cols = _symbol_columns(y) if hasattr(y, "coeffs") else [list(y)]
+    cols = _symbol_columns(y) if hasattr(y, "coeffs") else [y]
     for col in cols:
-        diff = [a - b for a, b in zip(intlin.mat_vec(m, col), col)]
+        diff = [a - b for a, b in zip(intlin.mat_vec(g.matrix, col), col)]
         if not _is_multiple(diff, u):
             return False
     return True
@@ -533,9 +537,8 @@ def is_in_unipotent_radical(g: Isometry, basis: AdaptedBasis) -> bool:
     u = basis.u
     if apply(g, u) != tuple(u):
         return False
-    m = [list(r) for r in g.matrix]
     for w in basis.vectors[:-1]:
-        diff = [a - b for a, b in zip(intlin.mat_vec(m, list(w)), w)]
+        diff = [a - b for a, b in zip(intlin.mat_vec(g.matrix, w), w)]
         if not _is_multiple(diff, u):
             return False
         # integrality of the multiplier comes free: all entries are integers
@@ -568,7 +571,7 @@ def gu_lattice_generators(L: QuadLattice, u):
     for a in intlin.kernel_basis([gram_column(L, u)]):
         push(eichler_transvection(L, u, a))
     z, comp = split_hyperbolic(L, u)
-    cg = [[inner(L, v, w) for w in comp.basis] for v in comp.basis]
+    cg = sublattice_gram(L, comp)
     for i, e in enumerate(comp.basis):
         if cg[i][i] != 0:
             continue
@@ -576,5 +579,6 @@ def gu_lattice_generators(L: QuadLattice, u):
             if i != j and cg[i][j] == 0:
                 push(eichler_transvection(L, e, a))
     for g in out:
-        assert is_in_gu(g, u)
+        if not is_in_gu(g, u):
+            raise AssertionError("generator does not stabilize u")
     return out

@@ -42,7 +42,7 @@ class QuadLattice:
             for j in range(i):
                 if g[i][j] != g[j][i]:
                     raise ValueError("gram matrix must be symmetric")
-        if n and intlin.det_bareiss([list(r) for r in g]) == 0:
+        if n and intlin.det_bareiss(g) == 0:
             raise DegenerateGram("gram matrix is degenerate")
 
     @property
@@ -62,7 +62,7 @@ class Sublattice:
         if b:
             if len({len(row) for row in b}) != 1:
                 raise ValueError("basis vectors must share a length")
-            if intlin.rational_rank([list(r) for r in b]) != len(b):
+            if intlin.rational_rank(b) != len(b):
                 raise ValueError("basis vectors must be linearly independent")
 
     @property
@@ -82,21 +82,21 @@ def _check_vec(L: QuadLattice, v) -> list:
 def inner(L: QuadLattice, v, w) -> int:
     """Exact pairing v·gram·w."""
     v, w = _check_vec(L, v), _check_vec(L, w)
-    gw = intlin.mat_vec([list(r) for r in L.gram], w)
+    gw = intlin.mat_vec(L.gram, w)
     return sum(a * b for a, b in zip(v, gw))
 
 
 def gram_column(L: QuadLattice, v) -> list:
     """Pairings of v against the basis vectors, i.e. gram·v."""
-    return intlin.mat_vec([list(r) for r in L.gram], _check_vec(L, v))
+    return intlin.mat_vec(L.gram, _check_vec(L, v))
 
 
 def determinant(L: QuadLattice) -> int:
-    return intlin.det_bareiss([list(r) for r in L.gram])
+    return intlin.det_bareiss(L.gram)
 
 
 def signature(L: QuadLattice) -> Signature:
-    return Signature(*intlin.signature([list(r) for r in L.gram]))
+    return Signature(*intlin.signature(L.gram))
 
 
 def is_even(L: QuadLattice) -> bool:
@@ -139,7 +139,7 @@ def direct_sum(*lattices: QuadLattice) -> QuadLattice:
             for j in range(L.rank):
                 g[off + i][off + j] = L.gram[i][j]
         off += L.rank
-    return QuadLattice(tuple(tuple(r) for r in g))
+    return QuadLattice(g)
 
 
 def hyperbolic() -> QuadLattice:
@@ -158,7 +158,7 @@ def e8_minus() -> QuadLattice:
         g[i][i] = -2
     for a, b in _E8_EDGES:
         g[a - 1][b - 1] = g[b - 1][a - 1] = 1
-    return QuadLattice(tuple(tuple(r) for r in g))
+    return QuadLattice(g)
 
 
 def span4() -> QuadLattice:
@@ -177,26 +177,21 @@ def k3_model() -> QuadLattice:
 
 def sublattice_gram(L: QuadLattice, S: Sublattice) -> tuple:
     """Gram matrix of the form restricted to S's basis."""
-    b = [list(_check_vec(L, v)) for v in S.basis]
-    g = [list(r) for r in L.gram]
-    return tuple(
-        tuple(sum(vi * x for vi, x in zip(v, intlin.mat_vec(g, w))) for w in b)
-        for v in b
-    )
+    return tuple(tuple(inner(L, v, w) for w in S.basis) for v in S.basis)
 
 
 def orthogonal_sublattice(L: QuadLattice, vectors: Iterable) -> Sublattice:
     """Saturated sublattice of everything pairing to zero with the inputs."""
     rows = [gram_column(L, v) for v in vectors]
     if not rows:
-        return Sublattice(tuple(tuple(r) for r in intlin.identity(L.rank)))
-    return Sublattice(tuple(tuple(r) for r in intlin.kernel_basis(rows)))
+        return Sublattice(intlin.identity(L.rank))
+    return Sublattice(intlin.kernel_basis(rows))
 
 
 def is_saturated(L: QuadLattice, S: Sublattice) -> bool:
     if S.rank == 0:
         return True
-    cols = intlin.transpose([list(_check_vec(L, v)) for v in S.basis])
+    cols = intlin.transpose([_check_vec(L, v) for v in S.basis])
     return all(d == 1 for d in intlin.elementary_divisors(cols))
 
 
@@ -204,12 +199,12 @@ def saturation(L: QuadLattice, S: Sublattice) -> Sublattice:
     """Smallest saturated sublattice containing S (same rational span)."""
     if S.rank == 0:
         return S
-    cols = intlin.transpose([list(_check_vec(L, v)) for v in S.basis])
+    cols = intlin.transpose([_check_vec(L, v) for v in S.basis])
     _, p, _ = intlin.snf(cols)
     pinv = intlin.integer_inverse(p)
     k = S.rank
     sat_rows = [[pinv[i][j] for i in range(L.rank)] for j in range(k)]
-    return Sublattice(tuple(tuple(r) for r in intlin.hnf_basis(sat_rows)))
+    return Sublattice(intlin.hnf_basis(sat_rows))
 
 
 def extend_to_unimodular_basis(S: Sublattice):
@@ -222,7 +217,7 @@ def extend_to_unimodular_basis(S: Sublattice):
     if S.rank == 0:
         raise ValueError("cannot infer ambient rank from an empty basis")
     m = len(S.basis[0])
-    cols = intlin.transpose([list(v) for v in S.basis])
+    cols = intlin.transpose(S.basis)
     d, p, _ = intlin.snf(cols)
     k = S.rank
     if any(d[i][i] != 1 for i in range(k)):
@@ -262,6 +257,7 @@ def split_hyperbolic(L: QuadLattice, u):
     s = coeffs
     ss = inner(L, s, s)
     z = [si - (ss // 2) * ui for si, ui in zip(s, u)]
-    assert inner(L, u, z) == 1 and inner(L, z, z) == 0
+    if inner(L, u, z) != 1 or inner(L, z, z) != 0:
+        raise AssertionError("hyperbolic partner construction failed")
     lprime = orthogonal_sublattice(L, [u, z])
     return tuple(z), lprime

@@ -19,7 +19,6 @@ from .errors import DegenerateGram, NotIsotropic, NotPositiveNorm, NotPrimitive
 from .isometries import gu_lattice_generators, invert
 from .lattice_core import (
     QuadLattice,
-    inner,
     is_isotropic,
     is_primitive,
     split_hyperbolic,
@@ -50,7 +49,7 @@ class HyperboloidPoint:
 
     def defects(self, L: QuadLattice, u=None):
         """Returns (|(v,v) - 1|, |(v,u)|) under the lattice form."""
-        g = np.array([list(r) for r in L.gram], dtype=float)
+        g = np.array(L.gram, dtype=float)
         v = np.array(self.coords)
         norm_defect = abs(float(v @ g @ v) - 1.0)
         if u is None:
@@ -71,7 +70,7 @@ def project_to_hyperboloid(L: QuadLattice, v, u=None) -> HyperboloidPoint:
     defect direction; a nonpositive-norm result cannot be rescaled.
     """
     w = np.array([float(x) for x in v])
-    g = np.array([list(r) for r in L.gram], dtype=float)
+    g = np.array(L.gram, dtype=float)
     if u is not None:
         uv = np.array(u, dtype=float)
         defect = float(w @ g @ uv)
@@ -99,7 +98,7 @@ def gu_real_transitive_move(L: QuadLattice, u, y, yprime, tol=POINT_TOL):
     auxiliary directions are retried over the coordinate basis before
     giving up.
     """
-    g = np.array([list(r) for r in L.gram], dtype=float)
+    g = np.array(L.gram, dtype=float)
     yv = np.array(y.coords if isinstance(y, HyperboloidPoint) else y, dtype=float)
     pv = np.array(
         yprime.coords if isinstance(yprime, HyperboloidPoint) else yprime,
@@ -194,7 +193,7 @@ def explore(
         for m in (h.matrix, invert(h).matrix):
             if m not in seen_mats:
                 seen_mats.add(m)
-                mats.append(np.array([list(r) for r in m], dtype=float))
+                mats.append(np.array(m, dtype=float))
     if not check_point(L, y0, u, tol=1e-6):
         raise ValueError("y0 is not on the hyperboloid")
     target_pts = [

@@ -100,7 +100,7 @@ class IntegralShear:
         self.a = tuple(tuple(int(x) for x in row) for row in a)
         if len(self.a) != n or any(len(row) != n for row in self.a):
             raise DimensionMismatch("A must match B in size")
-        if intlin.det_bareiss([list(r) for r in self.a]) != 1:
+        if intlin.det_bareiss(self.a) != 1:
             raise ValueError("A must have determinant 1")
 
     @property
@@ -205,14 +205,9 @@ def is_lagrangian_subspace(omega, l: Sublattice, tol=VANISH_TOL) -> bool:
     a = omega.matrix if isinstance(omega, LinearSymplecticForm) else np.array(omega, dtype=float)
     if 2 * l.rank != a.shape[0]:
         raise DimensionMismatch("plane rank must be half the dimension")
-    basis = np.array([list(r) for r in l.basis], dtype=float)
+    basis = np.array(l.basis, dtype=float)
     pairings = basis @ a @ basis.T
     return bool(np.max(np.abs(pairings)) <= tol)
-
-
-def _stacked(l, lprime):
-    rows = [list(r) for r in l.basis] + [list(r) for r in lprime.basis]
-    return rows
 
 
 def to_blocks(omega, l: Sublattice, lprime: Sublattice) -> SplitBlockForm:
@@ -221,7 +216,7 @@ def to_blocks(omega, l: Sublattice, lprime: Sublattice) -> SplitBlockForm:
     n = a.shape[0] // 2
     if l.rank != n or lprime.rank != n:
         raise DimensionMismatch("both planes must have half rank")
-    stacked = _stacked(l, lprime)
+    stacked = l.basis + lprime.basis
     if abs(intlin.det_bareiss(stacked)) != 1:
         raise NotComplementary(
             "integral spans of the planes do not sum to the full lattice"
@@ -236,7 +231,7 @@ def to_blocks(omega, l: Sublattice, lprime: Sublattice) -> SplitBlockForm:
 
 def from_blocks(f: SplitBlockForm, l: Sublattice, lprime: Sublattice) -> LinearSymplecticForm:
     """Reassembles the ambient form with prescribed adapted blocks."""
-    stacked = _stacked(l, lprime)
+    stacked = l.basis + lprime.basis
     if abs(intlin.det_bareiss(stacked)) != 1:
         raise NotComplementary(
             "integral spans of the planes do not sum to the full lattice"
@@ -255,7 +250,7 @@ def act(g: IntegralShear, f: SplitBlockForm) -> SplitBlockForm:
     """
     if g.n != f.n:
         raise DimensionMismatch("shear size must match the form")
-    b = np.array([list(r) for r in g.b], dtype=float)
+    b = np.array(g.b, dtype=float)
     if g.is_pure_shear():
         cb = f.c @ b
         return SplitBlockForm(f.c, f.d + (cb - cb.T))

@@ -278,3 +278,17 @@ def test_threads_flags_are_accepted(capsys):
         capsys, "lattice", "info", "--model", "u", "--threads", "4"
     )
     assert data["rank"] == 2
+
+
+def test_map_isotropic_readme_example_stdout(capsys):
+    code, out, _ = run(
+        capsys,
+        "isom", "map-isotropic", "--model", "t4",
+        "--u", "[1,0,0,0,0,0]", "--v", "[0,1,0,0,0,0]",
+    )
+    assert code == 0
+    assert out == (
+        '{"matrix": [[0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], '
+        "[0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0], "
+        "[0, 0, 0, 0, 0, 1]]}\n"
+    )

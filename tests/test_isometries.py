@@ -1,5 +1,7 @@
+import json
 import random
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -327,3 +329,19 @@ def test_gu_lattice_generators():
         gu_lattice_generators(T4, (0, 0, 1, 1, 0, 0))
     with pytest.raises(NotPrimitive):
         gu_lattice_generators(T4, (2, 0, 0, 0, 0, 0))
+
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "map_isotropic_golden.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "model, case",
+    [("t4", c) for c in GOLDEN["t4"]] + [("k3", c) for c in GOLDEN["k3"]],
+)
+def test_map_isotropic_golden_matrices(model, case):
+    # the exact words map_isotropic builds are part of its output contract
+    L = T4 if model == "t4" else K3
+    g = map_isotropic(L, tuple(case["u"]), tuple(case["v"]))
+    assert [list(r) for r in g.matrix] == case["matrix"]
