@@ -224,7 +224,8 @@ def is_u_orthoirrational(
     projected = []
     for col in y.columns():
         coords = intlin.mat_vec(tinv, col)
-        assert coords[1] == 0  # the z-coordinate is the pairing with u
+        if coords[1] != 0:  # the z-coordinate is the pairing with u
+            raise AssertionError("projection left a component along z")
         projected.append(coords[2:])
     return intlin.rational_rank(projected) >= 2
 

@@ -10,7 +10,7 @@ reflections used for orientation repair.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import intlin
 from .errors import (
@@ -53,7 +53,7 @@ class Isometry:
         if not intlin.mat_eq(intlin.mat_mul(mtg, m), g):
             raise ValueError("matrix does not preserve the bilinear form")
 
-    @property
+    @cached_property
     def det(self):
         return intlin.det_bareiss(self.matrix)
 

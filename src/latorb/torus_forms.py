@@ -262,69 +262,65 @@ def act(g: IntegralShear, f: SplitBlockForm) -> SplitBlockForm:
 
 
 # ---------------------------------------------------------------------------
-# lattice reduction helpers (plain float LLL + Babai nearest plane)
+# lattice reduction helpers (plain float LLL + Babai nearest plane); the
+# Gram–Schmidt data is kept row by row and equals a full recompute bit for bit
 
 
 def _lll(rows, delta=0.99):
     """Lenstra–Lenstra–Lovász on float row vectors.
 
-    Returns (reduced_rows, transform) with reduced = transform · rows and
-    transform integer unimodular.
+    Returns (reduced_rows, transform, star, norms): reduced = transform ·
+    rows with transform integer unimodular, star the Gram–Schmidt vectors
+    of the reduced rows and norms[i] = ‖star[i]‖².  Row i of the
+    Gram–Schmidt data depends only on b[0..i] and is recomputed only when
+    one of those rows changes.
     """
     b = [np.array(r, dtype=float) for r in rows]
     k = len(b)
     u = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    star = [None] * k
+    norms = [0.0] * k
+    mu = [[0.0] * k for _ in range(k)]
 
-    def gso():
-        star = []
-        mu = [[0.0] * k for _ in range(k)]
-        for i in range(k):
-            v = b[i].copy()
-            for j in range(i):
-                denom = float(star[j] @ star[j])
-                mu[i][j] = float(b[i] @ star[j]) / denom if denom else 0.0
-                v = v - mu[i][j] * star[j]
-            star.append(v)
-        return star, mu
+    def gso_row(i):
+        v = b[i].copy()
+        for j in range(i):
+            mu[i][j] = float(b[i] @ star[j]) / norms[j] if norms[j] else 0.0
+            v = v - mu[i][j] * star[j]
+        star[i] = v
+        norms[i] = float(v @ v)
 
+    for i in range(min(k, 2)):
+        gso_row(i)
     i = 1
-    star, mu = gso()
     while i < k:
         for j in range(i - 1, -1, -1):
             q = round(mu[i][j])
             if q != 0:
                 b[i] = b[i] - q * b[j]
                 u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-                star, mu = gso()
-        norm_prev = float(star[i - 1] @ star[i - 1])
-        norm_here = float(star[i] @ star[i])
-        if norm_here >= (delta - mu[i][i - 1] ** 2) * norm_prev:
+                gso_row(i)
+        if norms[i] >= (delta - mu[i][i - 1] ** 2) * norms[i - 1]:
             i += 1
+            if i < k:
+                gso_row(i)
         else:
             b[i], b[i - 1] = b[i - 1], b[i]
             u[i], u[i - 1] = u[i - 1], u[i]
-            star, mu = gso()
+            gso_row(i - 1)
+            gso_row(i)
             i = max(i - 1, 1)
-    return b, u
+    return b, u, star, norms
 
 
-def _babai(reduced, transform, target):
+def _babai(reduced, transform, star, norms, target):
     """Nearest-plane: integer coefficients (on the original basis) of a
-    lattice vector close to target."""
+    lattice vector close to target, given the output of `_lll`."""
     k = len(reduced)
-    star = []
-    for i in range(k):
-        v = reduced[i].copy()
-        for w in star:
-            denom = float(w @ w)
-            if denom:
-                v = v - (float(reduced[i] @ w) / denom) * w
-        star.append(v)
     t = np.array(target, dtype=float)
     coeffs = [0] * k
     for i in range(k - 1, -1, -1):
-        denom = float(star[i] @ star[i])
-        c = round(float(t @ star[i]) / denom) if denom else 0
+        c = round(float(t @ star[i]) / norms[i]) if norms[i] else 0
         coeffs[i] = c
         t = t - c * reduced[i]
     out = [0] * k
@@ -363,8 +359,7 @@ def _solve_b(cprime, d, mu):
     for idx in range(k):
         rows.append(np.concatenate([mu * np.eye(k)[idx], dirs[idx] / mu]))
     target = np.concatenate([np.zeros(k), _skew_upper(d) / mu])
-    reduced, transform = _lll(rows)
-    coeffs = _babai(reduced, transform, target)
+    coeffs = _babai(*_lll(rows), target)
     b = np.array(coeffs, dtype=float).reshape((n, n))
     return [[int(x) for x in row] for row in b]
 
@@ -460,7 +455,7 @@ def genericity_score(c, bound, residual_tol=RELATION_TOL) -> GenericityReport:
     rows = [
         np.concatenate([np.eye(k)[i], [scale * entries[i]]]) for i in range(k)
     ]
-    reduced, transform = _lll(rows)
+    transform = _lll(rows)[1]
     best = None
     for i in range(k):
         m = transform[i]

@@ -3,6 +3,8 @@
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from latorb import intlin
 from latorb.irrationality import UNIT, Symbol, from_columns
 from latorb.lattice_core import gram_column, inner, k3_model
@@ -61,3 +63,58 @@ def engineered_k3_vector():
     ]
     columns = [unit_col] + [[Fraction(x) for x in row] for row in others]
     return K3, from_columns(symbols, columns)
+
+
+def reference_lll(rows, delta=0.99):
+    """Float LLL that recomputes the whole Gram–Schmidt data after every
+    change to the basis: the oracle the row-by-row `_lll` must match bit
+    for bit.  Returns (reduced_rows, transform)."""
+    b = [np.array(r, dtype=float) for r in rows]
+    k = len(b)
+    u = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+
+    def gso():
+        star = []
+        mu = [[0.0] * k for _ in range(k)]
+        for i in range(k):
+            v = b[i].copy()
+            for j in range(i):
+                denom = float(star[j] @ star[j])
+                mu[i][j] = float(b[i] @ star[j]) / denom if denom else 0.0
+                v = v - mu[i][j] * star[j]
+            star.append(v)
+        return star, mu
+
+    i = 1
+    star, mu = gso()
+    while i < k:
+        for j in range(i - 1, -1, -1):
+            q = round(mu[i][j])
+            if q != 0:
+                b[i] = b[i] - q * b[j]
+                u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+                star, mu = gso()
+        norm_prev = float(star[i - 1] @ star[i - 1])
+        norm_here = float(star[i] @ star[i])
+        if norm_here >= (delta - mu[i][i - 1] ** 2) * norm_prev:
+            i += 1
+        else:
+            b[i], b[i - 1] = b[i - 1], b[i]
+            u[i], u[i - 1] = u[i - 1], u[i]
+            star, mu = gso()
+            i = max(i - 1, 1)
+    return b, u
+
+
+def reference_gso(rows):
+    """From-scratch Gram–Schmidt vectors of rows, as nearest-plane rounding
+    computed them before it reused the reduction's."""
+    star = []
+    for r in rows:
+        v = r.copy()
+        for w in star:
+            denom = float(w @ w)
+            if denom:
+                v = v - (float(r @ w) / denom) * w
+        star.append(v)
+    return star

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from collections import deque
@@ -345,3 +346,30 @@ def test_map_isotropic_golden_matrices(model, case):
     L = T4 if model == "t4" else K3
     g = map_isotropic(L, tuple(case["u"]), tuple(case["v"]))
     assert [list(r) for r in g.matrix] == case["matrix"]
+
+
+def test_map_isotropic_takes_one_determinant_of_its_result(monkeypatch):
+    # the det check in map_isotropic and the one in is_in_so_plus share
+    # the cached determinant of the result
+    rng = random.Random(61)
+    u = random_primitive_isotropic(rng, K3)
+    v = random_primitive_isotropic(rng, K3)
+    calls = []
+    real = intlin.det_bareiss
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(intlin, "det_bareiss", counting)
+    g = map_isotropic(K3, u, v)
+    assert calls.count(g.matrix) == 1
+
+
+def test_isometry_equality_and_hash_ignore_cached_det():
+    g = eichler_transvection(T4, X1, (0, 0, 1, 0, 0, 0))
+    h = Isometry(g.matrix, T4)
+    assert g.det == 1
+    assert "det" in vars(g) and "det" not in vars(h)
+    assert g == h and hash(g) == hash(h)
+    assert [f.name for f in dataclasses.fields(Isometry)] == ["matrix", "lattice"]

@@ -1,4 +1,4 @@
-"""Checks in the exact core must survive `python -O`, which strips asserts."""
+"""Checks in these modules must survive `python -O`, which strips asserts."""
 
 import ast
 from pathlib import Path
@@ -10,7 +10,10 @@ import latorb
 SRC = Path(latorb.__file__).parent
 
 
-@pytest.mark.parametrize("module", ["isometries.py", "lattice_core.py"])
+@pytest.mark.parametrize(
+    "module",
+    ["isometries.py", "lattice_core.py", "irrationality.py", "torus_forms.py"],
+)
 def test_no_assert_statements(module):
     tree = ast.parse((SRC / module).read_text())
     lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]

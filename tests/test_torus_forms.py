@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,6 +320,43 @@ def test_solver_not_worse_than_small_exhaustive_search():
         except DidNotConverge as exc:
             err = exc.incumbent.err
         assert err <= 2 * oracle + 1e-12
+
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "split_orbit_golden.json").read_text()
+)
+
+
+def _unhex(m):
+    return np.array([[float.fromhex(x) for x in row] for row in m])
+
+
+def _hex(m):
+    return [[float(x).hex() for x in row] for row in m]
+
+
+def test_solver_golden_outputs():
+    # exact floats and integers of the solver and the relation search, as
+    # recorded before the reduction kept its Gram–Schmidt data row by row
+    for case in GOLDEN["solves"]:
+        f = tf.SplitBlockForm(_unhex(case["C"]), _unhex(case["D"]))
+        try:
+            res = tf.approx_by_split_orbit(f, 1e-6, 0.1)
+            converged = True
+        except DidNotConverge as exc:
+            res, converged = exc.incumbent, False
+        assert converged == case["converged"]
+        assert _hex(res.cprime) == case["cprime"]
+        assert [list(r) for r in res.b] == case["b"]
+        assert res.err.hex() == case["err"]
+        assert res.rounds == case["rounds"]
+    for case in GOLDEN["genericity"]:
+        rep = tf.genericity_score(_unhex(case["C"]), case["bound"])
+        assert rep.found == case["found"]
+        relation = None if rep.relation is None else [int(x) for x in rep.relation]
+        assert relation == case["relation"]
+        residual = None if rep.residual is None else float(rep.residual).hex()
+        assert residual == case["residual"]
 
 
 # --- genericity heuristic ----------------------------------------------------
