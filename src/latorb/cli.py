@@ -2,9 +2,7 @@
 
 Exit codes: 0 on success, 2 on domain errors (machine-readable JSON on
 stderr), 1 on I/O or parse problems.  Every verb is a pure pipeline —
-identical inputs and seed give byte-identical stdout.  The --threads /
---single-thread flags are accepted everywhere for interface stability;
-all current implementations are serial, so both are no-ops.
+identical inputs and seed give byte-identical stdout.
 """
 
 import argparse
@@ -279,11 +277,6 @@ def _cmd_explore(args):
 # --- wiring ------------------------------------------------------------------
 
 
-def _add_common(p):
-    p.add_argument("--threads", type=int, default=1, help="accepted for interface stability; execution is serial")
-    p.add_argument("--single-thread", action="store_true", help="accepted for interface stability; execution is serial")
-
-
 def _add_lattice_source(p):
     p.add_argument("--model", choices=sorted(MODELS))
     p.add_argument("--lattice", help="lattice JSON (inline or file path)")
@@ -296,67 +289,66 @@ def build_parser():
     lat = sub.add_parser("lattice", help="quadratic-lattice queries")
     lat_sub = lat.add_subparsers(dest="sub", required=True)
     p = lat_sub.add_parser("info")
-    _add_lattice_source(p), _add_common(p)
+    _add_lattice_source(p)
     p.set_defaults(func=_cmd_lattice_info)
     p = lat_sub.add_parser("inner")
-    _add_lattice_source(p), _add_common(p)
+    _add_lattice_source(p)
     p.add_argument("--v", required=True)
     p.add_argument("--w", required=True)
     p.set_defaults(func=_cmd_lattice_inner)
     p = lat_sub.add_parser("split")
-    _add_lattice_source(p), _add_common(p)
+    _add_lattice_source(p)
     p.add_argument("--u", required=True)
     p.set_defaults(func=_cmd_lattice_split)
     p = lat_sub.add_parser("ortho")
-    _add_lattice_source(p), _add_common(p)
+    _add_lattice_source(p)
     p.add_argument("--vectors", required=True, help="JSON list of vectors")
     p.set_defaults(func=_cmd_lattice_ortho)
     p = lat_sub.add_parser("saturate")
-    _add_lattice_source(p), _add_common(p)
+    _add_lattice_source(p)
     p.add_argument("--basis", required=True)
     p.set_defaults(func=_cmd_lattice_saturate)
     p = lat_sub.add_parser("extend")
-    _add_common(p)
     p.add_argument("--basis", required=True)
     p.set_defaults(func=_cmd_lattice_extend)
 
     iso = sub.add_parser("isom", help="integral isometries")
     iso_sub = iso.add_subparsers(dest="sub", required=True)
     p = iso_sub.add_parser("transvect")
-    _add_lattice_source(p), _add_common(p)
+    _add_lattice_source(p)
     p.add_argument("--e", required=True)
     p.add_argument("--a", required=True)
     p.set_defaults(func=_cmd_isom_transvect)
     p = iso_sub.add_parser("map-isotropic")
-    _add_lattice_source(p), _add_common(p)
+    _add_lattice_source(p)
     p.add_argument("--u", required=True)
     p.add_argument("--v", required=True)
     p.set_defaults(func=_cmd_isom_map_isotropic)
     p = iso_sub.add_parser("check")
-    _add_lattice_source(p), _add_common(p)
+    _add_lattice_source(p)
     p.add_argument("--g", required=True)
     p.add_argument("--u")
     p.add_argument("--y")
     p.set_defaults(func=_cmd_isom_check)
     p = iso_sub.add_parser("generators")
-    _add_lattice_source(p), _add_common(p)
+    _add_lattice_source(p)
     p.add_argument("--u", required=True)
     p.set_defaults(func=_cmd_isom_generators)
 
     irr = sub.add_parser("irr", help="irrationality certificates")
     irr_sub = irr.add_subparsers(dest="sub", required=True)
     p = irr_sub.add_parser("check-u")
-    _add_lattice_source(p), _add_common(p)
+    _add_lattice_source(p)
     p.add_argument("--u", required=True)
     p.add_argument("--y", required=True, help="symbolic-vector JSON or plain vector")
     p.set_defaults(func=_cmd_irr_check_u)
     p = irr_sub.add_parser("certify")
-    _add_lattice_source(p), _add_common(p)
+    _add_lattice_source(p)
     p.add_argument("--y", required=True)
     p.add_argument("--height", type=int, default=3)
     p.set_defaults(func=_cmd_irr_certify)
     p = irr_sub.add_parser("find-isotropic")
-    _add_lattice_source(p), _add_common(p)
+    _add_lattice_source(p)
     p.add_argument("--y", required=True)
     p.add_argument("--height", type=int, default=3)
     p.set_defaults(func=_cmd_irr_find_isotropic)
@@ -364,18 +356,15 @@ def build_parser():
     tor = sub.add_parser("torus", help="symplectic block forms")
     tor_sub = tor.add_subparsers(dest="sub", required=True)
     p = tor_sub.add_parser("blocks")
-    _add_common(p)
     p.add_argument("--omega", required=True, help="dense 2n×2n matrix JSON")
     p.add_argument("--l", required=True)
     p.add_argument("--lprime", required=True)
     p.set_defaults(func=_cmd_torus_blocks)
     p = tor_sub.add_parser("act")
-    _add_common(p)
     p.add_argument("--form", required=True, help='{"C": ..., "D": ...}')
     p.add_argument("--shear", required=True, help='{"B": ..., "A": ...}')
     p.set_defaults(func=_cmd_torus_act)
     p = tor_sub.add_parser("approx")
-    _add_common(p)
     p.add_argument("--target", required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.1)
@@ -383,12 +372,11 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_torus_approx)
     p = tor_sub.add_parser("wedge")
-    _add_common(p)
     p.add_argument("--g", required=True, help="4×4 integer matrix JSON")
     p.set_defaults(func=_cmd_torus_wedge)
 
     p = sub.add_parser("explore", help="orbit walk statistics")
-    _add_lattice_source(p), _add_common(p)
+    _add_lattice_source(p)
     p.add_argument("--u", required=True)
     p.add_argument("--y0", required=True, help="float vector JSON")
     p.add_argument("--targets", required=True, help="JSON list of float vectors")

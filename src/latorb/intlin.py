@@ -5,6 +5,12 @@ no floating point.  Inputs may be any sequence of rows (lists or tuples);
 results are lists of lists.  These are the primitives behind the lattice
 layer: canonical Hermite/Smith forms, integer kernels, exact inertia, and
 rational elimination.
+
+Elimination is done one way each: over Q by the single Fraction
+Gauss–Jordan routine `_rref` (rank, solve, inverse), and over Z by
+`row_hnf` (Hermite form, kernel, unimodular inverse).  Beside them sit the
+fraction-free `det_bareiss`, the Smith form `snf`, and the congruence
+reductions `signature` and `positive_basis`.
 """
 
 from fractions import Fraction
@@ -60,65 +66,69 @@ def det_bareiss(m):
     return sign * a[n - 1][n - 1]
 
 
+def _rref(rows, ncols):
+    """Fraction Gauss–Jordan on the first ncols columns of rows.
+
+    Returns (a, pivots): a is the reduced row echelon form over Q, and
+    pivots lists the pivot columns, so len(pivots) is the rank.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][col]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+    return a, pivots
+
+
+def _solve(a, rhs):
+    """X with a·X = rhs for square nonsingular a, rhs given as rows."""
+    n = len(a)
+    if any(len(row) != n for row in a) or len(rhs) != n:
+        raise ValueError("matrix is not square or does not match the right-hand side")
+    m, pivots = _rref([list(row) + list(r) for row, r in zip(a, rhs)], n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in m]
+
+
 def rational_solve(a, b):
     """Solve a·x = b exactly for square a; raises ValueError when singular."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(a, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+    return [x for x, in _solve(a, [[bi] for bi in b])]
 
 
 def rational_inverse(a):
-    n = len(a)
-    cols = [rational_solve(a, [1 if i == j else 0 for i in range(n)]) for j in range(n)]
-    return transpose(cols)
+    """Inverse over Q of a square matrix, by one elimination of [a | I]."""
+    return _solve(a, identity(len(a)))
 
 
 def integer_inverse(a):
-    """Inverse of a unimodular integer matrix, returned over the integers."""
-    inv = rational_inverse(a)
-    out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            irow.append(int(x))
-        out.append(irow)
-    return out
+    """Inverse of a unimodular integer matrix, returned over the integers.
+
+    The Hermite form of a unimodular matrix is I, so the transform that
+    row_hnf returns is the inverse.
+    """
+    h, u = row_hnf(a)
+    if h != identity(len(a)):
+        raise ValueError("matrix is not square and unimodular")
+    return u
 
 
 def rational_rank(m):
     if not m:
         return 0
-    a = [[Fraction(x) for x in row] for row in m]
-    rows, cols = len(a), len(a[0])
-    rank = 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, rows) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(rows):
-            if r != rank and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return len(_rref(m, len(m[0]))[1])
 
 
 def xgcd(a, b):

@@ -220,7 +220,7 @@ def is_u_orthoirrational(
     n = L.rank
     cols = [u, z, *comp.basis]
     t = [[cols[j][i] for j in range(n)] for i in range(n)]
-    tinv = intlin.rational_inverse(t)
+    tinv = intlin.integer_inverse(t)  # [u, z, *comp] is a Z-basis
     projected = []
     for col in y.columns():
         coords = intlin.mat_vec(tinv, col)

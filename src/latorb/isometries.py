@@ -11,6 +11,7 @@ reflections used for orientation repair.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 from . import intlin
 from .errors import (
@@ -117,47 +118,29 @@ def eichler_transvection(L: QuadLattice, e, a) -> Isometry:
 
 @lru_cache(maxsize=None)
 def _positive_frame(L: QuadLattice):
-    """Orthogonal rational basis of a maximal positive subspace, with norms."""
-    basis = intlin.positive_basis(L.gram)
-    return basis, [_dot(intlin.mat_vec(L.gram, v), v) for v in basis]
+    """Orthogonal basis of a maximal positive subspace, scaled to integers,
+    with the Gram column of each vector."""
+    basis = []
+    for v in intlin.positive_basis(L.gram):
+        den = lcm(*(x.denominator for x in v))
+        basis.append([int(x * den) for x in v])
+    return basis, [gram_column(L, p) for p in basis]
 
 
 def is_in_so_plus(g: Isometry) -> bool:
     """Whether g preserves the orientation of a maximal positive subspace.
 
-    Projects the image of an orthogonal positive basis P back onto P and
-    takes the sign of the determinant, all in exact rational arithmetic.
-    Inputs of determinant −1 are rejected.
+    For an orthogonal positive basis P the sign of det[(g·p_i, p_j)] is the
+    sign of the determinant of g's projection onto Span P; rescaling P by
+    positive factors keeps it, so P is taken integral and the determinant
+    is an integer one (1 for an empty frame, 0 for a degenerate
+    projection).  Inputs of determinant −1 are rejected.
     """
     if g.det != 1:
         raise ValueError("orientation test requires determinant +1")
-    basis, norms = _positive_frame(g.lattice)
-    if not basis:
-        return True
-    proj = []
-    for v in basis:
-        gv = intlin.mat_vec(g.matrix, v)
-        ggv = intlin.mat_vec(g.lattice.gram, gv)
-        proj.append([_dot(ggv, p) / nrm for p, nrm in zip(basis, norms)])
-    d = 1
-    # fraction-free elimination is overkill at these sizes; Gauss over Q
-    mat = intlin.transpose(proj)
-    n = len(mat)
-    sign = 1
-    for c in range(n):
-        piv = next((r for r in range(c, n) if mat[r][c] != 0), None)
-        if piv is None:
-            return False  # degenerate projection: cannot preserve orientation
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            sign = -sign
-        d = d * mat[c][c]
-        inv = Fraction(1) / mat[c][c]
-        for r in range(c + 1, n):
-            if mat[r][c] != 0:
-                f = mat[r][c] * inv
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[c])]
-    return sign * d > 0
+    basis, columns = _positive_frame(g.lattice)
+    images = [intlin.mat_vec(g.matrix, p) for p in basis]
+    return intlin.det_bareiss([[_dot(gp, c) for c in columns] for gp in images]) > 0
 
 
 def reflection(L: QuadLattice, a) -> Isometry:
@@ -422,14 +405,22 @@ class AdaptedBasis:
 
 def adapted_basis(L: QuadLattice, u) -> AdaptedBasis:
     u = tuple(u)
+    if not is_isotropic(L, u):
+        raise NotIsotropic("u must be isotropic")
     if not is_primitive(L, u):
         raise NotPrimitive("u must be primitive")
     ker = intlin.kernel_basis([gram_column(L, u)])
-    # coordinates of u in the kernel basis: integral and primitive because
-    # the kernel is saturated and u is primitive
-    kt = intlin.transpose(ker)
-    coords = _solve_overdetermined(kt, list(u))
-    square = extend_to_unimodular_basis(Sublattice((tuple(coords),)))
+    # coordinates c of u in the kernel basis, from the normal equations
+    # (K·Kᵀ)c = K·u: integral and primitive because the kernel is saturated
+    # and u is primitive
+    sol = intlin.rational_solve(intlin.mat_mul(ker, intlin.transpose(ker)),
+                                intlin.mat_vec(ker, u))
+    if any(x.denominator != 1 for x in sol):
+        raise AssertionError("kernel coordinates of u are not integral")
+    coords = tuple(int(x) for x in sol)
+    if tuple(intlin.mat_vec(intlin.transpose(ker), coords)) != u:
+        raise AssertionError("u is not in the span of the kernel basis")
+    square = extend_to_unimodular_basis(Sublattice((coords,)))
     # rows of the transpose form a Z-basis of coordinate space starting at
     # the u-row; rotate it to the end
     change = intlin.transpose(square)
@@ -441,29 +432,6 @@ def adapted_basis(L: QuadLattice, u) -> AdaptedBasis:
     if ordered[-1] != u:
         raise AssertionError("adapted basis does not end at u")
     return AdaptedBasis(ordered, u)
-
-
-def _solve_overdetermined(a, b):
-    """Exact solution of a·x = b for a tall full-column-rank integer matrix."""
-    rows = len(a)
-    cols = len(a[0])
-    idx = []
-    acc = []
-    for i in range(rows):
-        if len(idx) == cols:
-            break
-        if intlin.rational_rank(acc + [a[i]]) > len(idx):
-            acc.append(a[i])
-            idx.append(i)
-    sol = intlin.rational_solve([a[i] for i in idx], [b[i] for i in idx])
-    out = []
-    for x in sol:
-        if x.denominator != 1:
-            raise AssertionError("overdetermined solution is not integral")
-        out.append(int(x))
-    if intlin.mat_vec(a, out) != list(b):
-        raise AssertionError("overdetermined system has no exact solution")
-    return out
 
 
 def _vector_matches(g, y):

@@ -118,3 +118,38 @@ def reference_gso(rows):
                 v = v - (float(r @ w) / denom) * w
         star.append(v)
     return star
+
+
+def reference_is_in_so_plus(g):
+    """Orientation test by projection in Fraction arithmetic: the image of
+    an orthogonal rational positive basis P is projected back onto P and
+    the sign of that determinant is read off by Gauss elimination over Q.
+    The oracle for the integer-determinant `is_in_so_plus`."""
+    if intlin.det_bareiss(g.matrix) != 1:
+        raise ValueError("orientation test requires determinant +1")
+    gram = g.lattice.gram
+    basis = intlin.positive_basis(gram)
+    if not basis:
+        return True
+    norms = [sum(a * b for a, b in zip(intlin.mat_vec(gram, v), v)) for v in basis]
+    proj = []
+    for v in basis:
+        ggv = intlin.mat_vec(gram, intlin.mat_vec(g.matrix, v))
+        proj.append([sum(a * b for a, b in zip(ggv, p)) / nrm
+                     for p, nrm in zip(basis, norms)])
+    mat = intlin.transpose(proj)
+    n = len(mat)
+    d = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if mat[r][c] != 0), None)
+        if piv is None:
+            return False  # degenerate projection: cannot preserve orientation
+        if piv != c:
+            mat[c], mat[piv] = mat[piv], mat[c]
+            d = -d
+        d *= mat[c][c]
+        for r in range(c + 1, n):
+            if mat[r][c] != 0:
+                f = mat[r][c] / mat[c][c]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[c])]
+    return d > 0

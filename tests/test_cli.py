@@ -241,7 +241,7 @@ def test_explore_verb_csv_and_determinism(capsys):
         "--targets", targets, "--depth", "2", "--format", "csv",
     )
     code_a, out_a, _ = run(capsys, *args)
-    code_b, out_b, _ = run(capsys, *args, "--single-thread")
+    code_b, out_b, _ = run(capsys, *args)
     assert code_a == 0 and code_b == 0
     assert out_a == out_b
     lines = out_a.strip().split("\n")
@@ -273,11 +273,13 @@ def test_explore_verb_json_format(capsys):
     }
 
 
-def test_threads_flags_are_accepted(capsys):
-    data = run_json(
+def test_threads_flag_is_rejected(capsys):
+    code, out, err = run(
         capsys, "lattice", "info", "--model", "u", "--threads", "4"
     )
-    assert data["rank"] == 2
+    assert code == 1
+    assert out == ""
+    assert err.startswith("argument error:")
 
 
 def test_map_isotropic_readme_example_stdout(capsys):

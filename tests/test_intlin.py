@@ -178,6 +178,14 @@ def test_rational_solve_and_inverse():
     assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
     with pytest.raises(ValueError):
         intlin.integer_inverse([[2, 0], [0, 1]])
+    # non-square input is rejected, not truncated
+    with pytest.raises(ValueError):
+        intlin.integer_inverse([[1, 2, 3]])
+    with pytest.raises(ValueError):
+        intlin.rational_solve([[1, 2, 3], [4, 5, 6]], [1, 2])
+    with pytest.raises(ValueError):
+        intlin.rational_inverse([[1, 2], [3, 4], [5, 6]])
+    assert intlin.integer_inverse([]) == []
     rng = random.Random(7)
     for _ in range(30):
         n = rng.randint(1, 5)

@@ -299,6 +299,8 @@ def test_adapted_basis():
     assert intlin.hnf_basis([list(w) for w in B.vectors]) == ker
     with pytest.raises(NotPrimitive):
         adapted_basis(T4, (2, 0, 0, 0, 0, 0))
+    with pytest.raises(NotIsotropic):
+        adapted_basis(T4, (1, 1, 0, 0, 0, 0))
 
 
 def test_unipotent_radical_shape():

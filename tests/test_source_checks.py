@@ -12,7 +12,16 @@ SRC = Path(latorb.__file__).parent
 
 @pytest.mark.parametrize(
     "module",
-    ["isometries.py", "lattice_core.py", "irrationality.py", "torus_forms.py"],
+    [
+        "isometries.py",
+        "lattice_core.py",
+        "irrationality.py",
+        "torus_forms.py",
+        "intlin.py",
+        "orbit_explorer.py",
+        "jsonio.py",
+        "cli.py",
+    ],
 )
 def test_no_assert_statements(module):
     tree = ast.parse((SRC / module).read_text())
