@@ -396,12 +396,7 @@ def main(argv=None):
         sys.stderr.write("argument error: %s\n" % exc)
         return 1
     try:
-        inputs_ready = args.func
-    except AttributeError:
-        sys.stderr.write("argument error: missing sub-command\n")
-        return 1
-    try:
-        inputs_ready(args)
+        args.func(args)
     except DomainError as exc:
         sys.stderr.write(json.dumps(exc.payload()) + "\n")
         return 2

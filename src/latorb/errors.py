@@ -46,10 +46,6 @@ class NoHyperbolicSplit(DomainError):
     pass
 
 
-class NoOrientationFix(DomainError):
-    pass
-
-
 class PrecisionError(DomainError):
     pass
 

@@ -9,8 +9,9 @@ rational elimination.
 Elimination is done one way each: over Q by the single Fraction
 Gauss–Jordan routine `_rref` (rank, solve, inverse), and over Z by
 `row_hnf` (Hermite form, kernel, unimodular inverse).  Beside them sit the
-fraction-free `det_bareiss`, the Smith form `snf`, and the congruence
-reductions `signature` and `positive_basis`.
+fraction-free `det_bareiss`, the Smith form `snf`, and one symmetric
+congruence reduction `_congruence_diagonal`, read by `signature` (the
+signs of its diagonal) and `positive_basis` (its positive columns).
 """
 
 from fractions import Fraction
@@ -318,64 +319,12 @@ def elementary_divisors(m):
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0]
 
 
-def signature(gram):
-    """Exact inertia (p, q) by rational symmetric reduction.
+def _congruence_diagonal(gram):
+    """Symmetric column reduction: (d, b) with bᵀ·gram·b = diag(d) over Q.
 
-    A zero diagonal pivot with a nonzero off-diagonal partner is processed as
-    a 2x2 hyperbolic-like block contributing (1,1); its Schur complement is
-    taken exactly.  Raises DegenerateGram when the form is singular.
-    """
-    n = len(gram)
-    s = [[Fraction(x) for x in row] for row in gram]
-    active = list(range(n))
-    p = q = 0
-    while active:
-        i = active[0]
-        if s[i][i] != 0:
-            if s[i][i] > 0:
-                p += 1
-            else:
-                q += 1
-            rest = active[1:]
-            piv = s[i][i]
-            for k in rest:
-                if s[k][i] == 0:
-                    continue
-                f = s[k][i] / piv
-                for l in rest:
-                    s[k][l] -= f * s[i][l]
-            for k in rest:
-                s[k][i] = s[i][k] = Fraction(0)
-            active = rest
-            continue
-        j = next((j for j in active[1:] if s[i][j] != 0), None)
-        if j is None:
-            raise DegenerateGram("gram matrix is degenerate")
-        p += 1
-        q += 1
-        b = s[i][j]
-        djj = s[j][j]
-        det = -b * b
-        rest = [k for k in active if k != i and k != j]
-        # inverse of [[0, b], [b, djj]] is (1/det)·[[djj, -b], [-b, 0]]
-        for k in rest:
-            ki, kj = s[k][i], s[k][j]
-            ci = (djj * ki - b * kj) / det
-            cj = (-b * ki) / det
-            for l in rest:
-                s[k][l] -= ci * s[i][l] + cj * s[j][l]
-        for k in rest:
-            s[k][i] = s[i][k] = s[k][j] = s[j][k] = Fraction(0)
-        active = rest
-    return p, q
-
-
-def positive_basis(gram):
-    """Rational basis vectors of a maximal positive-definite subspace.
-
-    Returned vectors are pairwise orthogonal under the form with positive
-    self-pairing; obtained by symmetric column reduction, replacing a
-    zero-pivot column by column ± partner to expose a nonzero pivot.
+    A zero pivot with a nonzero partner j is fixed first by adding
+    column ± j; a zero pivot without one is a zero row, so the form is
+    singular.  The columns of b are returned as rows.
     """
     n = len(gram)
     s = [[Fraction(x) for x in row] for row in gram]
@@ -401,4 +350,28 @@ def positive_basis(gram):
         for j in range(i + 1, n):
             if s[i][j] != 0:
                 col_add(j, i, -s[i][j] / s[i][i])
-    return [[b[k][i] for k in range(n)] for i in range(n) if s[i][i] > 0]
+    cols = [[b[k][i] for k in range(n)] for i in range(n)]
+    return [s[i][i] for i in range(n)], cols
+
+
+def signature(gram):
+    """Exact inertia (p, q): the signs of the congruence diagonal.
+
+    Raises DegenerateGram when the form is singular (a zero on the
+    diagonal).
+    """
+    d, _ = _congruence_diagonal(gram)
+    if 0 in d:
+        raise DegenerateGram("gram matrix is degenerate")
+    return sum(x > 0 for x in d), sum(x < 0 for x in d)
+
+
+def positive_basis(gram):
+    """Rational basis vectors of a maximal positive-definite subspace.
+
+    Returned vectors are pairwise orthogonal under the form with positive
+    self-pairing: the columns of the congruence reduction whose diagonal
+    entry is positive.
+    """
+    d, cols = _congruence_diagonal(gram)
+    return [v for x, v in zip(d, cols) if x > 0]

@@ -32,6 +32,12 @@ from .lattice_core import (
     split_hyperbolic,
 )
 
+# Interval evaluation runs in a private mpmath context at a fixed working
+# precision (bits), so it never reads or changes the global mpmath.iv.
+INTERVAL_PRECISION = 128
+_IV = mpmath.ctx_iv.MPIntervalContext()
+_IV.prec = INTERVAL_PRECISION
+
 INDEPENDENCE_ASSUMPTION = (
     "assumes the non-unit symbols are Q-linearly independent together with 1"
 )
@@ -155,10 +161,10 @@ def rational_constraint_lattice(L: QuadLattice, y: SymbolicRealVector) -> Sublat
 
 
 def _interval_from_fraction(x: Fraction):
-    return mpmath.iv.mpf(x.numerator) / mpmath.iv.mpf(x.denominator)
+    return _IV.mpf(x.numerator) / _IV.mpf(x.denominator)
 
 
-def certified_norm_sign(L: QuadLattice, y: SymbolicRealVector, precision_bits=128):
+def certified_norm_sign(L: QuadLattice, y: SymbolicRealVector):
     """Sign of (y,y) under the symbol approximations, by interval arithmetic.
 
     Returns +1, −1, or 0.  The zero is exact — it is returned only when
@@ -179,32 +185,25 @@ def certified_norm_sign(L: QuadLattice, y: SymbolicRealVector, precision_bits=12
     ]
     if all(q == 0 for row in pair for q in row):
         return 0
-    old = mpmath.iv.prec
-    mpmath.iv.prec = precision_bits
-    try:
-        total = mpmath.iv.mpf(0)
-        vals = [
-            mpmath.iv.mpf(1) if s == UNIT else mpmath.iv.mpf(s.approx)
-            for s in y.symbols
-        ]
-        for s, row in enumerate(pair):
-            for t, q in enumerate(row):
-                if q != 0:
-                    total += _interval_from_fraction(q) * vals[s] * vals[t]
-        if total.a > 0:
-            return 1
-        if total.b < 0:
-            return -1
-        raise PrecisionError(
-            "norm interval straddles zero at this working precision"
-        )
-    finally:
-        mpmath.iv.prec = old
+    total = _IV.mpf(0)
+    vals = [
+        _IV.mpf(1) if s == UNIT else _IV.mpf(s.approx)
+        for s in y.symbols
+    ]
+    for s, row in enumerate(pair):
+        for t, q in enumerate(row):
+            if q != 0:
+                total += _interval_from_fraction(q) * vals[s] * vals[t]
+    if total.a > 0:
+        return 1
+    if total.b < 0:
+        return -1
+    raise PrecisionError(
+        "norm interval straddles zero at this working precision"
+    )
 
 
-def is_u_orthoirrational(
-    L: QuadLattice, u, y: SymbolicRealVector, precision_bits=128
-) -> bool:
+def is_u_orthoirrational(L: QuadLattice, u, y: SymbolicRealVector) -> bool:
     """Does y avoid every real plane through u and a lattice point of u^⊥?
 
     Projects y into u^⊥/Span{u} along the hyperbolic partner of u and
@@ -214,7 +213,7 @@ def is_u_orthoirrational(
     """
     if any(c != 0 for c in symbolic_inner(L, y, u)):
         raise NotOrthogonal("y must pair to zero with u at every symbol")
-    if certified_norm_sign(L, y, precision_bits) < 0:
+    if certified_norm_sign(L, y) < 0:
         raise NotPositiveNorm("y must have positive norm")
     z, comp = split_hyperbolic(L, u)
     n = L.rank
@@ -289,7 +288,7 @@ class IrrationalityCertificate:
 
 
 def certify_orthoisotropic_irrational(
-    L: QuadLattice, y: SymbolicRealVector, height, precision_bits=128
+    L: QuadLattice, y: SymbolicRealVector, height
 ) -> IrrationalityCertificate:
     """Three-step certificate for orthoisotropic irrationality of y.
 
@@ -303,7 +302,7 @@ def certify_orthoisotropic_irrational(
     witness, while universal success stays Inconclusive because only
     finitely many u were examined.
     """
-    if certified_norm_sign(L, y, precision_bits) < 0:
+    if certified_norm_sign(L, y) < 0:
         raise NotPositiveNorm("y must have positive norm")
     perp = rational_constraint_lattice(L, y)
     found = find_isotropic_orthogonal(L, y, height)
@@ -312,6 +311,6 @@ def certify_orthoisotropic_irrational(
     if perp.rank <= L.rank - 3:
         return IrrationalityCertificate(CERTIFIED, found[0], perp.rank, height)
     for u in found:
-        if not is_u_orthoirrational(L, u, y, precision_bits):
+        if not is_u_orthoirrational(L, u, y):
             return IrrationalityCertificate(REFUTED, u, perp.rank, height)
     return IrrationalityCertificate(INCONCLUSIVE, None, perp.rank, height)

@@ -3,9 +3,9 @@
 Eichler transvections, identity-component membership, stabilizer-shape
 predicates, and a constructive reduction mapping any primitive isotropic
 vector to any other (two orthogonal hyperbolic planes are required, as in
-the rank-6 and rank-22 models).  Everything is exact; the only group
-elements ever manufactured here are words in transvections, plus explicit
-reflections used for orientation repair.
+the rank-6 and rank-22 models).  Everything is exact; the maps built
+here are words in transvections, and `reflection` builds a single
+reflection on request.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,6 @@ from . import intlin
 from .errors import (
     DimensionMismatch,
     NoHyperbolicSplit,
-    NoOrientationFix,
     NotIsotropic,
     NotPrimitive,
 )
@@ -342,9 +341,8 @@ def map_isotropic(L: QuadLattice, u, v) -> Isometry:
     vector by words in Eichler transvections; the result is the second
     word's inverse composed with the first, applied to the identity
     columns and validated once.  The inverse of a word is the reversed
-    word with every a negated.  Transvection words always land in the
-    identity component, so the orientation repair below is a tripwire
-    rather than an expected path.
+    word with every a negated.  Transvections are unipotent, so the word
+    lies in the identity component; the check below is a tripwire.
     """
     for t in (u, v):
         if len(t) != L.rank:
@@ -363,32 +361,9 @@ def map_isotropic(L: QuadLattice, u, v) -> Isometry:
     g = Isometry(intlin.transpose(cols), L)
     if apply(g, u) != tuple(v):
         raise AssertionError("transvection word does not carry u to v")
-    if g.det == 1 and is_in_so_plus(g):
-        return g
-    g = _orientation_repair(L, frame, g, tuple(v))
+    if not (g.det == 1 and is_in_so_plus(g)):
+        raise AssertionError("transvection word left the identity component")
     return g
-
-
-def _orientation_repair(L, frame, g, v):
-    """Post-compose a determinant-+1 orientation swap fixing v, if one exists."""
-    plus = [
-        tuple(a + b for a, b in zip(frame.e1, frame.f1)),
-        tuple(a + b for a, b in zip(frame.e2, frame.f2)),
-    ]
-    minus = [
-        tuple(a - b for a, b in zip(frame.e1, frame.f1)),
-        tuple(a - b for a, b in zip(frame.e2, frame.f2)),
-    ]
-    for a in plus:
-        for b in minus:
-            if inner(L, a, v) == 0 and inner(L, b, v) == 0:
-                h = compose(reflection(L, a), reflection(L, b))
-                fixed = compose(h, g)
-                if fixed.det == 1 and is_in_so_plus(fixed):
-                    return fixed
-    raise NoOrientationFix(
-        "no orientation-correcting isometry fixes the target vector"
-    )
 
 
 @dataclass(frozen=True)

@@ -55,10 +55,6 @@ def decode_matrix(data):
     return tuple(tuple(decode_int(x) for x in row) for row in data)
 
 
-def lattice_to_json(L: QuadLattice):
-    return {"rank": L.rank, "gram": encode_matrix(L.gram)}
-
-
 def lattice_from_json(data):
     gram = decode_matrix(data["gram"])
     L = QuadLattice(gram)
@@ -85,15 +81,6 @@ def isometry_from_json(data, L: QuadLattice) -> Isometry:
     if isinstance(data, dict):
         data = data["matrix"]
     return Isometry(decode_matrix(data), L)
-
-
-def symbolic_to_json(y: SymbolicRealVector):
-    return {
-        "symbols": [
-            {"tag": s.tag, "approx": s.approx} for s in y.symbols[1:]
-        ],
-        "coeffs": [[str(Fraction(c)) for c in row] for row in y.coeffs],
-    }
 
 
 def symbolic_from_json(data) -> SymbolicRealVector:

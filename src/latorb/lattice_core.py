@@ -62,7 +62,7 @@ class Sublattice:
         if b:
             if len({len(row) for row in b}) != 1:
                 raise ValueError("basis vectors must share a length")
-            if intlin.rational_rank(b) != len(b):
+            if len(intlin.hnf_basis(b)) != len(b):
                 raise ValueError("basis vectors must be linearly independent")
 
     @property

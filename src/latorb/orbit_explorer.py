@@ -89,7 +89,7 @@ def _reflection_matrix(g, w):
     return np.eye(len(w)) - 2.0 * np.outer(w, w @ g) / n
 
 
-def gu_real_transitive_move(L: QuadLattice, u, y, yprime, tol=POINT_TOL):
+def gu_real_transitive_move(L: QuadLattice, u, y, yprime):
     """Real form-isometry fixing u and carrying y to yprime.
 
     A product of two reflections in vectors orthogonal to u: either the
@@ -112,7 +112,7 @@ def gu_real_transitive_move(L: QuadLattice, u, y, yprime, tol=POINT_TOL):
         uv = np.array(u, dtype=float)
         if abs(float(yv @ g @ uv)) > 1e-6 or abs(float(pv @ g @ uv)) > 1e-6:
             raise ValueError("both vectors must be orthogonal to u")
-    if np.max(np.abs(yv - pv)) <= tol:
+    if np.max(np.abs(yv - pv)) <= POINT_TOL:
         return np.eye(L.rank)
     s = float(yv @ g @ pv)
     diff = yv - pv
@@ -163,8 +163,6 @@ def explore(
     seed=0,
     dedup_tol=DEDUP_TOL,
     generators=None,
-    norm_cap=NORM_CAP,
-    frontier_cap=FRONTIER_CAP,
     point_sink=None,
 ):
     """Breadth-first orbit walk recording nearest approaches per depth.
@@ -173,8 +171,9 @@ def explore(
     coordinate distance over every orbit point seen so far, plus the
     number of distinct points visited.  Deterministic for a fixed seed;
     the seed only drives the subsample used when a frontier exceeds
-    frontier_cap.  A list passed as point_sink receives the coordinates
-    of every visited point, for callers auditing the walk itself.
+    FRONTIER_CAP.  Images with a coordinate above NORM_CAP are dropped.
+    A list passed as point_sink receives the coordinates of every visited
+    point, for callers auditing the walk itself.
     """
     if u is not None:
         u = tuple(int(x) for x in u)
@@ -235,7 +234,7 @@ def explore(
             continue
         images = [frontier @ m.T for m in mats]
         stacked = np.concatenate(images, axis=0)
-        keep = np.max(np.abs(stacked), axis=1) <= norm_cap
+        keep = np.max(np.abs(stacked), axis=1) <= NORM_CAP
         stacked = stacked[keep]
         fresh_rows = []
         fresh_keys = set()
@@ -244,8 +243,8 @@ def explore(
                 continue
             fresh_keys.add(key)
             fresh_rows.append(row)
-        if len(fresh_rows) > frontier_cap:
-            idx = sorted(rng.sample(range(len(fresh_rows)), frontier_cap))
+        if len(fresh_rows) > FRONTIER_CAP:
+            idx = sorted(rng.sample(range(len(fresh_rows)), FRONTIER_CAP))
             fresh_rows = [fresh_rows[i] for i in idx]
         for row in fresh_rows:
             visited.add(keys_of(np.array([row]))[0])

@@ -29,6 +29,7 @@ from .lattice_core import QuadLattice, Sublattice
 DET_TOL = 1e-10
 VANISH_TOL = 1e-12
 RELATION_TOL = 1e-12
+LLL_DELTA = 0.99
 
 
 def _as_float_matrix(m):
@@ -201,13 +202,13 @@ def normalize_volume(omega) -> LinearSymplecticForm:
     return LinearSymplecticForm(lam * a)
 
 
-def is_lagrangian_subspace(omega, l: Sublattice, tol=VANISH_TOL) -> bool:
+def is_lagrangian_subspace(omega, l: Sublattice) -> bool:
     a = omega.matrix if isinstance(omega, LinearSymplecticForm) else np.array(omega, dtype=float)
     if 2 * l.rank != a.shape[0]:
         raise DimensionMismatch("plane rank must be half the dimension")
     basis = np.array(l.basis, dtype=float)
     pairings = basis @ a @ basis.T
-    return bool(np.max(np.abs(pairings)) <= tol)
+    return bool(np.max(np.abs(pairings)) <= VANISH_TOL)
 
 
 def to_blocks(omega, l: Sublattice, lprime: Sublattice) -> SplitBlockForm:
@@ -266,7 +267,7 @@ def act(g: IntegralShear, f: SplitBlockForm) -> SplitBlockForm:
 # Gram–Schmidt data is kept row by row and equals a full recompute bit for bit
 
 
-def _lll(rows, delta=0.99):
+def _lll(rows):
     """Lenstra–Lenstra–Lovász on float row vectors.
 
     Returns (reduced_rows, transform, star, norms): reduced = transform ·
@@ -300,7 +301,7 @@ def _lll(rows, delta=0.99):
                 b[i] = b[i] - q * b[j]
                 u[i] = [x - q * y for x, y in zip(u[i], u[j])]
                 gso_row(i)
-        if norms[i] >= (delta - mu[i][i - 1] ** 2) * norms[i - 1]:
+        if norms[i] >= (LLL_DELTA - mu[i][i - 1] ** 2) * norms[i - 1]:
             i += 1
             if i < k:
                 gso_row(i)
@@ -436,7 +437,7 @@ class GenericityReport:
     residual: float | None
 
 
-def genericity_score(c, bound, residual_tol=RELATION_TOL) -> GenericityReport:
+def genericity_score(c, bound) -> GenericityReport:
     """Searches for a small integer relation among the entries of C⁻¹.
 
     A found relation is hard evidence of rational dependence; absence is a
@@ -451,7 +452,7 @@ def genericity_score(c, bound, residual_tol=RELATION_TOL) -> GenericityReport:
         return GenericityReport(False, None, None)
     entries = np.linalg.inv(c).flatten()
     k = len(entries)
-    scale = 1.0 / residual_tol
+    scale = 1.0 / RELATION_TOL
     rows = [
         np.concatenate([np.eye(k)[i], [scale * entries[i]]]) for i in range(k)
     ]
@@ -468,7 +469,7 @@ def genericity_score(c, bound, residual_tol=RELATION_TOL) -> GenericityReport:
             best = (tuple(m), residual)
     if best is None:
         return GenericityReport(False, None, None)
-    if best[1] <= residual_tol:
+    if best[1] <= RELATION_TOL:
         return GenericityReport(True, best[0], best[1])
     return GenericityReport(False, best[0], best[1])
 

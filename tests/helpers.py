@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 
 from latorb import intlin
+from latorb.errors import DegenerateGram
 from latorb.irrationality import UNIT, Symbol, from_columns
 from latorb.lattice_core import gram_column, inner, k3_model
 
@@ -153,3 +154,56 @@ def reference_is_in_so_plus(g):
                 f = mat[r][c] / mat[c][c]
                 mat[r] = [x - f * y for x, y in zip(mat[r], mat[c])]
     return d > 0
+
+
+def reference_signature(gram):
+    """Exact inertia (p, q) by rational symmetric reduction, as `signature`
+    computed it before it read the signs off `positive_basis`'s reduction.
+
+    A zero diagonal pivot with a nonzero off-diagonal partner is processed
+    as a 2x2 hyperbolic-like block contributing (1,1); its Schur complement
+    is taken exactly.  Raises DegenerateGram when the form is singular.
+    """
+    n = len(gram)
+    s = [[Fraction(x) for x in row] for row in gram]
+    active = list(range(n))
+    p = q = 0
+    while active:
+        i = active[0]
+        if s[i][i] != 0:
+            if s[i][i] > 0:
+                p += 1
+            else:
+                q += 1
+            rest = active[1:]
+            piv = s[i][i]
+            for k in rest:
+                if s[k][i] == 0:
+                    continue
+                f = s[k][i] / piv
+                for l in rest:
+                    s[k][l] -= f * s[i][l]
+            for k in rest:
+                s[k][i] = s[i][k] = Fraction(0)
+            active = rest
+            continue
+        j = next((j for j in active[1:] if s[i][j] != 0), None)
+        if j is None:
+            raise DegenerateGram("gram matrix is degenerate")
+        p += 1
+        q += 1
+        b = s[i][j]
+        djj = s[j][j]
+        det = -b * b
+        rest = [k for k in active if k != i and k != j]
+        # inverse of [[0, b], [b, djj]] is (1/det)·[[djj, -b], [-b, 0]]
+        for k in rest:
+            ki, kj = s[k][i], s[k][j]
+            ci = (djj * ki - b * kj) / det
+            cj = (-b * ki) / det
+            for l in rest:
+                s[k][l] -= ci * s[i][l] + cj * s[j][l]
+        for k in rest:
+            s[k][i] = s[i][k] = s[k][j] = s[j][k] = Fraction(0)
+        active = rest
+    return p, q

@@ -1,10 +1,13 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from latorb import intlin
+from latorb.cli import MODELS
 from latorb.errors import DegenerateGram
 
 
@@ -248,3 +251,15 @@ def test_positive_basis():
             assert pair(v, v) > 0
             for w in basis[i + 1:]:
                 assert pair(v, w) == 0
+
+
+POSITIVE_BASIS_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "positive_basis_golden.json").read_text()
+)
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_positive_basis_golden_on_models(model):
+    # is_in_so_plus orients by this exact basis, so its vectors are pinned
+    basis = intlin.positive_basis(MODELS[model]().gram)
+    assert [[str(x) for x in v] for v in basis] == POSITIVE_BASIS_GOLDEN[model]

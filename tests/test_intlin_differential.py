@@ -1,5 +1,7 @@
 """Exact elimination in `intlin` against sympy's exact matrix algebra on
-hypothesis-drawn integer matrices."""
+hypothesis-drawn integer matrices, and the congruence reduction behind
+`signature` against the older Schur-complement reduction kept in
+`helpers.reference_signature`."""
 
 from fractions import Fraction
 
@@ -7,8 +9,12 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import invariant_factors
 
+from helpers import reference_signature
 from latorb import intlin
+from latorb.errors import DegenerateGram
+from latorb.lattice_core import Sublattice
 
 DRAWN = settings(max_examples=150, deadline=None)
 
@@ -48,6 +54,25 @@ def unimodular_matrices(draw):
             f = draw(st.integers(-3, 3))
             m[i] = [a + f * b for a, b in zip(m[i], m[j])]
     return m
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices of size 0–8 with many zero entries, so
+    zero pivots occur; when flagged, the congruent image WᵀSW under a W
+    with two equal columns, which is singular."""
+    n = draw(st.integers(0, 8))
+    s = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            s[i][j] = s[j][i] = draw(st.sampled_from((-2, -1, 0, 0, 0, 1, 2)))
+    if n >= 2 and draw(st.booleans()):
+        w = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+        i, j = draw(st.permutations(range(n)))[:2]
+        for row in w:
+            row[j] = row[i]
+        s = intlin.mat_mul(intlin.mat_mul(intlin.transpose(w), s), w)
+    return s
 
 
 def as_fractions(m):
@@ -114,3 +139,49 @@ def test_non_square_input_is_rejected(m):
         intlin.rational_inverse(m)
     with pytest.raises(ValueError):
         intlin.rational_solve(m, [1] * len(m))
+
+
+@DRAWN
+@given(symmetric_matrices())
+def test_signature_matches_reference_reduction(s):
+    singular = intlin.det_bareiss(s) == 0
+    if singular:
+        with pytest.raises(DegenerateGram):
+            reference_signature(s)
+        with pytest.raises(DegenerateGram):
+            intlin.signature(s)
+        return
+    p, q = intlin.signature(s)
+    assert (p, q) == reference_signature(s)
+    assert p + q == len(s)
+    assert len(intlin.positive_basis(s)) == p
+
+
+@DRAWN
+@given(matrices(st.integers(1, 6), st.integers(1, 6), st.integers(-2, 2)))
+def test_hnf_rank_and_sublattice_independence_match_sympy(m):
+    rank = sympy.Matrix(m).rank()
+    assert len(intlin.hnf_basis(m)) == rank
+    if rank == len(m):
+        assert Sublattice(m).rank == rank
+    else:
+        with pytest.raises(ValueError):
+            Sublattice(m)
+
+
+@DRAWN
+@given(matrices(st.integers(1, 5), st.integers(1, 6), st.integers(-3, 3)))
+def test_kernel_basis_is_a_saturated_kernel_of_sympy_rank(a):
+    ker = intlin.kernel_basis(a)
+    assert len(ker) == len(a[0]) - sympy.Matrix(a).rank()
+    for x in ker:
+        assert intlin.mat_vec(a, x) == [0] * len(a)
+    if ker:  # independent and saturated: every invariant factor is 1
+        assert invariant_factors(sympy.Matrix(ker), domain=sympy.ZZ) == (1,) * len(ker)
+
+
+@DRAWN
+@given(matrices(st.integers(1, 5), st.integers(1, 5), st.integers(-4, 4)))
+def test_elementary_divisors_match_sympy_invariant_factors(m):
+    factors = invariant_factors(sympy.Matrix(m), domain=sympy.ZZ)
+    assert intlin.elementary_divisors(m) == [int(x) for x in factors if x != 0]

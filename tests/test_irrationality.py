@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import engineered_k3_vector
-from latorb import intlin
+from latorb import intlin, irrationality
 from latorb.errors import NotOrthogonal, PrecisionError
 from latorb.irrationality import (
     CERTIFIED,
@@ -102,6 +102,22 @@ def test_certified_norm_sign():
     # nonzero coefficients that cancel numerically are a genuine straddle
     col = [0, 0, 1, 1, 0, 0]
     cancel = from_columns((UNIT, Symbol("one", 1.0)), [col, [-x for x in col]])
+    with pytest.raises(PrecisionError):
+        certified_norm_sign(T4, cancel)
+
+
+def test_interval_evaluation_does_not_use_the_global_context(monkeypatch):
+    # the certificate runs in its own interval context: with mpmath.iv gone
+    # the answers are unchanged, and a straddle still raises
+    col = [0, 0, 1, 1, 0, 0]
+    cancel = from_columns((UNIT, Symbol("one", 1.0)), [col, [-x for x in col]])
+    positive = [Y_IRR, rational_vector(X1), rational_vector((0, 0, 1, 1, 0, 0))]
+    ys = positive + [rational_vector((1, -1, 0, 0, 0, 0))]
+    signs = [certified_norm_sign(T4, y) for y in ys]
+    certs = [certify_orthoisotropic_irrational(T4, y, 1) for y in positive]
+    monkeypatch.setattr(irrationality.mpmath, "iv", None)
+    assert [certified_norm_sign(T4, y) for y in ys] == signs
+    assert [certify_orthoisotropic_irrational(T4, y, 1) for y in positive] == certs
     with pytest.raises(PrecisionError):
         certified_norm_sign(T4, cancel)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from latorb import intlin
+from latorb import intlin, isometries
 from latorb.errors import (
     NoHyperbolicSplit,
     NotIsotropic,
@@ -348,6 +348,14 @@ def test_map_isotropic_golden_matrices(model, case):
     L = T4 if model == "t4" else K3
     g = map_isotropic(L, tuple(case["u"]), tuple(case["v"]))
     assert [list(r) for r in g.matrix] == case["matrix"]
+
+
+def test_map_isotropic_result_outside_so_plus_is_a_tripwire(monkeypatch):
+    # a transvection word always lies in SO+; a verdict against that is an
+    # internal fault, not a domain error to repair or report
+    monkeypatch.setattr(isometries, "is_in_so_plus", lambda g: False)
+    with pytest.raises(AssertionError):
+        map_isotropic(T4, X1, (0, 1, 0, 0, 0, 0))
 
 
 def test_map_isotropic_takes_one_determinant_of_its_result(monkeypatch):

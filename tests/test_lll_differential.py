@@ -76,8 +76,8 @@ def checked_lll(monkeypatch):
     calls = []
     real = tf._lll
 
-    def checked(rows, delta=0.99):
-        out = real(rows, delta)
+    def checked(rows):
+        out = real(rows)
         assert_matches_reference(rows, out)
         calls.append(len(rows))
         return out

@@ -1,4 +1,5 @@
-"""Checks in these modules must survive `python -O`, which strips asserts."""
+"""Source checks on the package: its checks must survive `python -O`,
+which strips asserts, and no module may change an imported module's state."""
 
 import ast
 from pathlib import Path
@@ -27,3 +28,49 @@ def test_no_assert_statements(module):
     tree = ast.parse((SRC / module).read_text())
     lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert lines == [], f"{module} uses assert at lines {lines}"
+
+
+def _imported_names(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.add((alias.asname or alias.name).split(".")[0])
+    return names
+
+
+def _mutated_objects(node):
+    """The expressions whose state this node changes in place."""
+    if isinstance(node, ast.Call):
+        if getattr(node.func, "id", None) in ("setattr", "delattr"):
+            return node.args[:1]
+        return []
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return []
+    elts = [e for t in targets for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
+    return [e.value for e in elts if isinstance(e, (ast.Attribute, ast.Subscript))]
+
+
+def _root_name(node):
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_assignment_to_imported_module_state(module):
+    # a library call must not change state that other code shares, such as
+    # a global precision setting of an imported package
+    tree = ast.parse((SRC / module).read_text())
+    imported = _imported_names(tree)
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        for obj in _mutated_objects(node)
+        if _root_name(obj) in imported
+    ]
+    assert lines == [], f"{module} assigns to imported module state at {lines}"
