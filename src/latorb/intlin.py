@@ -7,7 +7,7 @@ layer: canonical Hermite/Smith forms, integer kernels, exact inertia, and
 rational elimination.
 
 Elimination is done one way each: over Q by the single Fraction
-Gauss–Jordan routine `_rref` (rank, solve, inverse), and over Z by
+Gauss–Jordan routine `_rref` (rank and inverse), and over Z by
 `row_hnf` (Hermite form, kernel, unimodular inverse).  Beside them sit the
 fraction-free `det_bareiss`, the Smith form `snf`, and one symmetric
 congruence reduction `_congruence_diagonal`, read by `signature` (the
@@ -93,25 +93,15 @@ def _rref(rows, ncols):
     return a, pivots
 
 
-def _solve(a, rhs):
-    """X with a·X = rhs for square nonsingular a, rhs given as rows."""
+def rational_inverse(a):
+    """Inverse over Q of a square matrix, by one elimination of [a | I]."""
     n = len(a)
-    if any(len(row) != n for row in a) or len(rhs) != n:
-        raise ValueError("matrix is not square or does not match the right-hand side")
-    m, pivots = _rref([list(row) + list(r) for row, r in zip(a, rhs)], n)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    m, pivots = _rref([list(row) + e for row, e in zip(a, identity(n))], n)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
     return [row[n:] for row in m]
-
-
-def rational_solve(a, b):
-    """Solve a·x = b exactly for square a; raises ValueError when singular."""
-    return [x for x, in _solve(a, [[bi] for bi in b])]
-
-
-def rational_inverse(a):
-    """Inverse over Q of a square matrix, by one elimination of [a | I]."""
-    return _solve(a, identity(len(a)))
 
 
 def integer_inverse(a):
@@ -312,11 +302,6 @@ def snf(m):
             p[t] = [-x for x in p[t]]
         t += 1
     return d, p, q
-
-
-def elementary_divisors(m):
-    d, _, _ = snf(m)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0]
 
 
 def _congruence_diagonal(gram):

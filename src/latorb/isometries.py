@@ -22,8 +22,6 @@ from .errors import (
 )
 from .lattice_core import (
     QuadLattice,
-    Sublattice,
-    extend_to_unimodular_basis,
     gram_column,
     inner,
     is_even,
@@ -366,49 +364,6 @@ def map_isotropic(L: QuadLattice, u, v) -> Isometry:
     return g
 
 
-@dataclass(frozen=True)
-class AdaptedBasis:
-    """Ordered integral basis of u^⊥ ∩ Λ whose last vector is u."""
-
-    vectors: tuple
-    u: tuple
-
-    def __post_init__(self):
-        if not self.vectors or tuple(self.vectors[-1]) != tuple(self.u):
-            raise ValueError("adapted basis must end at u")
-
-
-def adapted_basis(L: QuadLattice, u) -> AdaptedBasis:
-    u = tuple(u)
-    if not is_isotropic(L, u):
-        raise NotIsotropic("u must be isotropic")
-    if not is_primitive(L, u):
-        raise NotPrimitive("u must be primitive")
-    ker = intlin.kernel_basis([gram_column(L, u)])
-    # coordinates c of u in the kernel basis, from the normal equations
-    # (K·Kᵀ)c = K·u: integral and primitive because the kernel is saturated
-    # and u is primitive
-    sol = intlin.rational_solve(intlin.mat_mul(ker, intlin.transpose(ker)),
-                                intlin.mat_vec(ker, u))
-    if any(x.denominator != 1 for x in sol):
-        raise AssertionError("kernel coordinates of u are not integral")
-    coords = tuple(int(x) for x in sol)
-    if tuple(intlin.mat_vec(intlin.transpose(ker), coords)) != u:
-        raise AssertionError("u is not in the span of the kernel basis")
-    square = extend_to_unimodular_basis(Sublattice((coords,)))
-    # rows of the transpose form a Z-basis of coordinate space starting at
-    # the u-row; rotate it to the end
-    change = intlin.transpose(square)
-    new_rows = [
-        tuple(sum(c * k for c, k in zip(row, col)) for col in zip(*ker))
-        for row in change
-    ]
-    ordered = tuple(new_rows[1:]) + (new_rows[0],)
-    if ordered[-1] != u:
-        raise AssertionError("adapted basis does not end at u")
-    return AdaptedBasis(ordered, u)
-
-
 def _vector_matches(g, y):
     """Exact g(y) = y for integer vectors or symbolic real vectors."""
     if hasattr(y, "coeffs"):
@@ -468,24 +423,6 @@ def is_in_ky(g: Isometry, u, y) -> bool:
     (gx, u) = (x, u) = 0 and (gx, y) = (x, g⁻¹y) = (x, y ∓ cu) = 0.
     """
     return is_in_gu(g, u) and _difference_in_span(g, y, u)
-
-
-def is_in_unipotent_radical(g: Isometry, basis: AdaptedBasis) -> bool:
-    """Block shape [[I, 0], [*, 1]] on u^⊥ in an adapted basis.
-
-    Basis-free reading: g fixes u and (g − 1) pushes all of u^⊥ ∩ Λ into
-    Z·u.  That is exactly what the displayed shape encodes, so the check
-    does not depend on which adapted basis was supplied.
-    """
-    u = basis.u
-    if apply(g, u) != tuple(u):
-        return False
-    for w in basis.vectors[:-1]:
-        diff = [a - b for a, b in zip(intlin.mat_vec(g.matrix, w), w)]
-        if not _is_multiple(diff, u):
-            return False
-        # integrality of the multiplier comes free: all entries are integers
-    return True
 
 
 def gu_lattice_generators(L: QuadLattice, u):

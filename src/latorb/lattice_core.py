@@ -188,13 +188,6 @@ def orthogonal_sublattice(L: QuadLattice, vectors: Iterable) -> Sublattice:
     return Sublattice(intlin.kernel_basis(rows))
 
 
-def is_saturated(L: QuadLattice, S: Sublattice) -> bool:
-    if S.rank == 0:
-        return True
-    cols = intlin.transpose([_check_vec(L, v) for v in S.basis])
-    return all(d == 1 for d in intlin.elementary_divisors(cols))
-
-
 def saturation(L: QuadLattice, S: Sublattice) -> Sublattice:
     """Smallest saturated sublattice containing S (same rational span)."""
     if S.rank == 0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGram, NotIsotropic, NotPositiveNorm, NotPrimitive
+from .errors import InvalidTolerance, NotIsotropic, NotPositiveNorm, NotPrimitive
 from .isometries import gu_lattice_generators, invert
 from .lattice_core import (
     QuadLattice,
@@ -83,69 +83,6 @@ def project_to_hyperboloid(L: QuadLattice, v, u=None) -> HyperboloidPoint:
     return HyperboloidPoint(tuple(w / norm ** 0.5))
 
 
-def _reflection_matrix(g, w):
-    """Real reflection in the (non-null) vector w, as a matrix."""
-    n = float(w @ g @ w)
-    return np.eye(len(w)) - 2.0 * np.outer(w, w @ g) / n
-
-
-def gu_real_transitive_move(L: QuadLattice, u, y, yprime):
-    """Real form-isometry fixing u and carrying y to yprime.
-
-    A product of two reflections in vectors orthogonal to u: either the
-    difference y − y′ (completed by a mirror fixing y′) or, when that
-    difference is nearly null, the pair y + y′ and y′.  Transversal
-    auxiliary directions are retried over the coordinate basis before
-    giving up.
-    """
-    g = np.array(L.gram, dtype=float)
-    yv = np.array(y.coords if isinstance(y, HyperboloidPoint) else y, dtype=float)
-    pv = np.array(
-        yprime.coords if isinstance(yprime, HyperboloidPoint) else yprime,
-        dtype=float,
-    )
-    ny = float(yv @ g @ yv)
-    np_ = float(pv @ g @ pv)
-    if abs(ny - 1.0) > 1e-6 or abs(np_ - 1.0) > 1e-6 or abs(ny - np_) > 1e-6:
-        raise ValueError("both vectors must have unit length")
-    if u is not None:
-        uv = np.array(u, dtype=float)
-        if abs(float(yv @ g @ uv)) > 1e-6 or abs(float(pv @ g @ uv)) > 1e-6:
-            raise ValueError("both vectors must be orthogonal to u")
-    if np.max(np.abs(yv - pv)) <= POINT_TOL:
-        return np.eye(L.rank)
-    s = float(yv @ g @ pv)
-    diff = yv - pv
-    diff_norm = float(diff @ g @ diff)  # 2 - 2s up to roundoff
-    if abs(diff_norm) > abs(2.0 + 2.0 * s):
-        first = _reflection_matrix(g, diff)
-        second = _second_mirror(L, g, u, pv)
-    else:
-        first = _reflection_matrix(g, yv + pv)
-        second = _reflection_matrix(g, pv)
-    return second @ first
-
-
-def _second_mirror(L, g, u, pv):
-    """Mirror fixing u and pv, to restore orientation after one reflection."""
-    if u is not None:
-        uv = np.array(u, dtype=float)
-        z = np.array(split_hyperbolic(L, tuple(u))[0], dtype=float)
-    best = None
-    for i in range(L.rank):
-        cand = np.zeros(L.rank)
-        cand[i] = 1.0
-        if u is not None:
-            cand = cand - float(cand @ g @ uv) * z
-        cand = cand - float(cand @ g @ pv) * pv
-        norm = abs(float(cand @ g @ cand))
-        if norm > 1e-8 and (best is None or norm > best[0]):
-            best = (norm, cand)
-    if best is None:
-        raise DegenerateGram("no transversal mirror direction found")
-    return _reflection_matrix(g, best[1])
-
-
 @dataclass(frozen=True)
 class DensityRecord:
     depth: int
@@ -175,6 +112,8 @@ def explore(
     A list passed as point_sink receives the coordinates of every visited
     point, for callers auditing the walk itself.
     """
+    if not 0 < dedup_tol < np.inf:
+        raise InvalidTolerance("dedup_tol must be finite and positive")
     if u is not None:
         u = tuple(int(x) for x in u)
         if not is_isotropic(L, u):

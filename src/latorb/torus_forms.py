@@ -9,7 +9,6 @@ here is floating point except the exterior-square bridge at the bottom,
 which is exact integer arithmetic.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ from .lattice_core import QuadLattice, Sublattice
 
 DET_TOL = 1e-10
 VANISH_TOL = 1e-12
-RELATION_TOL = 1e-12
 LLL_DELTA = 0.99
 
 
@@ -122,42 +120,6 @@ class IntegralShear:
         return out
 
 
-def compose_shears(g: IntegralShear, h: IntegralShear) -> IntegralShear:
-    prod = intlin.mat_mul(g.assembled(), h.assembled())
-    n = g.n
-    b = [row[n:] for row in prod[:n]]
-    a = [row[n:] for row in prod[n:]]
-    return IntegralShear(b, a)
-
-
-def darboux(n) -> LinearSymplecticForm:
-    """Block-diagonal sum of n standard 2×2 pairs; Pfaffian +1."""
-    m = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        m[2 * k, 2 * k + 1] = 1.0
-        m[2 * k + 1, 2 * k] = -1.0
-    return LinearSymplecticForm(m)
-
-
-def standard_lagrangian(n) -> Sublattice:
-    """The plane spanned by the second vector of each Darboux pair."""
-    rows = []
-    for k in range(n):
-        r = [0] * (2 * n)
-        r[2 * k + 1] = 1
-        rows.append(tuple(r))
-    return Sublattice(tuple(rows))
-
-
-def standard_complement(n) -> Sublattice:
-    rows = []
-    for k in range(n):
-        r = [0] * (2 * n)
-        r[2 * k] = 1
-        rows.append(tuple(r))
-    return Sublattice(tuple(rows))
-
-
 def pfaffian(omega):
     """Pfaffian by recursive first-row expansion (4×4 closed form inlined)."""
     a = omega.matrix if isinstance(omega, LinearSymplecticForm) else np.array(omega, dtype=float)
@@ -187,19 +149,6 @@ def _pf(a):
         sign = -1.0 if pos % 2 else 1.0
         total += sign * a[0, j] * _pf(a[np.ix_(keep, keep)])
     return float(total)
-
-
-def normalize_volume(omega) -> LinearSymplecticForm:
-    """Rescales the form so its Pfaffian is exactly 1."""
-    a = omega.matrix if isinstance(omega, LinearSymplecticForm) else np.array(omega, dtype=float)
-    pf = pfaffian(a)
-    if pf == 0.0:
-        raise DegenerateGram("cannot normalize a degenerate form")
-    n = a.shape[0] // 2
-    if pf < 0 and n % 2 == 0:
-        raise ValueError("negative Pfaffian cannot be rescaled to +1 here")
-    lam = math.copysign(abs(pf) ** (-1.0 / n), pf)
-    return LinearSymplecticForm(lam * a)
 
 
 def is_lagrangian_subspace(omega, l: Sublattice) -> bool:
@@ -377,8 +326,8 @@ def approx_by_split_orbit(
     incumbent error reaches eps; otherwise exhausts the budget and raises,
     carrying the best incumbent found.
     """
-    if eps <= 0 or delta < 0:
-        raise InvalidTolerance("need eps > 0 and delta >= 0")
+    if not (0 < eps < np.inf and 0 <= delta < np.inf):
+        raise InvalidTolerance("need finite eps > 0 and finite delta >= 0")
     if budget < 1:
         raise InvalidTolerance("budget must be at least one round")
     c = target.c
@@ -428,50 +377,6 @@ def approx_by_split_orbit(
         "no shear image reached the requested accuracy within budget",
         incumbent=incumbent,
     )
-
-
-@dataclass(frozen=True)
-class GenericityReport:
-    found: bool
-    relation: tuple | None
-    residual: float | None
-
-
-def genericity_score(c, bound) -> GenericityReport:
-    """Searches for a small integer relation among the entries of C⁻¹.
-
-    A found relation is hard evidence of rational dependence; absence is a
-    heuristic pass at the given coefficient bound.  The search embeds the
-    entries against a scaled identity and reads candidates off an
-    LLL-reduced basis.
-    """
-    c = _as_float_matrix(c)
-    if abs(np.linalg.det(c)) < 1e-300:
-        raise ValueError("C is singular")
-    if bound < 1:
-        return GenericityReport(False, None, None)
-    entries = np.linalg.inv(c).flatten()
-    k = len(entries)
-    scale = 1.0 / RELATION_TOL
-    rows = [
-        np.concatenate([np.eye(k)[i], [scale * entries[i]]]) for i in range(k)
-    ]
-    transform = _lll(rows)[1]
-    best = None
-    for i in range(k):
-        m = transform[i]
-        if not any(m):
-            continue
-        if max(abs(x) for x in m) > bound:
-            continue
-        residual = abs(float(np.dot(m, entries)))
-        if best is None or residual < best[1]:
-            best = (tuple(m), residual)
-    if best is None:
-        return GenericityReport(False, None, None)
-    if best[1] <= RELATION_TOL:
-        return GenericityReport(True, best[0], best[1])
-    return GenericityReport(False, best[0], best[1])
 
 
 # ---------------------------------------------------------------------------

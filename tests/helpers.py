@@ -4,11 +4,14 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import sympy
+from sympy.matrices.normalforms import invariant_factors
 
 from latorb import intlin
 from latorb.errors import DegenerateGram
 from latorb.irrationality import UNIT, Symbol, from_columns
-from latorb.lattice_core import gram_column, inner, k3_model
+from latorb.lattice_core import Sublattice, gram_column, inner, k3_model
+from latorb.torus_forms import IntegralShear, LinearSymplecticForm
 
 
 def random_primitive_isotropic(rng, L, height_cap=5):
@@ -207,3 +210,46 @@ def reference_signature(gram):
             s[k][i] = s[i][k] = s[k][j] = s[j][k] = Fraction(0)
         active = rest
     return p, q
+
+
+def spans_saturated(rows):
+    """Whether integer rows span a saturated sublattice: every nonzero
+    invariant factor of the row matrix, by sympy's Smith form, is 1."""
+    factors = invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)
+    return all(d == 1 for d in factors if d != 0)
+
+
+def compose_shears(g: IntegralShear, h: IntegralShear) -> IntegralShear:
+    prod = intlin.mat_mul(g.assembled(), h.assembled())
+    n = g.n
+    b = [row[n:] for row in prod[:n]]
+    a = [row[n:] for row in prod[n:]]
+    return IntegralShear(b, a)
+
+
+def darboux(n) -> LinearSymplecticForm:
+    """Block-diagonal sum of n standard 2×2 pairs; Pfaffian +1."""
+    m = np.zeros((2 * n, 2 * n))
+    for k in range(n):
+        m[2 * k, 2 * k + 1] = 1.0
+        m[2 * k + 1, 2 * k] = -1.0
+    return LinearSymplecticForm(m)
+
+
+def standard_lagrangian(n) -> Sublattice:
+    """The plane spanned by the second vector of each Darboux pair."""
+    rows = []
+    for k in range(n):
+        r = [0] * (2 * n)
+        r[2 * k + 1] = 1
+        rows.append(tuple(r))
+    return Sublattice(tuple(rows))
+
+
+def standard_complement(n) -> Sublattice:
+    rows = []
+    for k in range(n):
+        r = [0] * (2 * n)
+        r[2 * k] = 1
+        rows.append(tuple(r))
+    return Sublattice(tuple(rows))

@@ -189,6 +189,20 @@ def test_torus_approx_failure_payload(capsys):
     assert payload["incumbent"]["err"] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize(
+    "eps, delta", [("nan", "0.1"), ("inf", "0.1"), ("1e-2", "nan"), ("1e-2", "inf")]
+)
+def test_torus_approx_rejects_non_finite_tolerance(capsys, eps, delta):
+    code, out, err = run(
+        capsys,
+        "torus", "approx",
+        "--target", '{"C":[[1.0,0.0],[0.0,1.0]],"D":[[0.0,-0.3],[0.3,0.0]]}',
+        "--eps", eps, "--delta", delta,
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidTolerance"
+
+
 def test_torus_act_verb(capsys):
     data = run_json(
         capsys,
@@ -271,6 +285,19 @@ def test_explore_verb_json_format(capsys):
         "min_dist": 0.0,
         "orbit_size": 1,
     }
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-7", "nan", "inf"])
+def test_explore_rejects_bad_dedup_tol(capsys, tol):
+    code, out, err = run(
+        capsys,
+        "explore", "--model", "t4", "--u", T4_U,
+        "--y0", "[0.0,0.0,0.594603557501361,0.8408964152537145,0.0,0.0]",
+        "--targets", "[[0.0,0.0,1.0,0.5,0.0,0.0]]",
+        "--depth", "3", "--format", "csv", "--dedup-tol=" + tol,
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidTolerance"
 
 
 def test_threads_flag_is_rejected(capsys):

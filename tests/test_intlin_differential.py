@@ -92,21 +92,14 @@ def test_det_bareiss_matches_sympy(m):
 
 
 @DRAWN
-@given(square_matrices(st.integers(-2, 2)), st.data())
-def test_rational_solve_and_inverse_match_sympy(a, data):
-    n = len(a)
-    b = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+@given(square_matrices(st.integers(-2, 2)))
+def test_rational_solve_and_inverse_match_sympy(a):
     s = sympy.Matrix(a)
     if s.det() == 0:
         with pytest.raises(ValueError):
-            intlin.rational_solve(a, b)
-        with pytest.raises(ValueError):
             intlin.rational_inverse(a)
         return
-    inv = as_fractions(s.inv())
-    assert intlin.rational_inverse(a) == inv
-    x = intlin.rational_solve(a, b)
-    assert x == [row[0] for row in as_fractions(s.inv() * sympy.Matrix(b))]
+    assert intlin.rational_inverse(a) == as_fractions(s.inv())
 
 
 @DRAWN
@@ -137,8 +130,6 @@ def test_non_square_input_is_rejected(m):
         intlin.integer_inverse(m)
     with pytest.raises(ValueError):
         intlin.rational_inverse(m)
-    with pytest.raises(ValueError):
-        intlin.rational_solve(m, [1] * len(m))
 
 
 @DRAWN
@@ -178,10 +169,3 @@ def test_kernel_basis_is_a_saturated_kernel_of_sympy_rank(a):
         assert intlin.mat_vec(a, x) == [0] * len(a)
     if ker:  # independent and saturated: every invariant factor is 1
         assert invariant_factors(sympy.Matrix(ker), domain=sympy.ZZ) == (1,) * len(ker)
-
-
-@DRAWN
-@given(matrices(st.integers(1, 5), st.integers(1, 5), st.integers(-4, 4)))
-def test_elementary_divisors_match_sympy_invariant_factors(m):
-    factors = invariant_factors(sympy.Matrix(m), domain=sympy.ZZ)
-    assert intlin.elementary_divisors(m) == [int(x) for x in factors if x != 0]

@@ -14,7 +14,6 @@ from latorb.errors import (
 )
 from latorb.isometries import (
     Isometry,
-    adapted_basis,
     apply,
     compose,
     eichler_transvection,
@@ -25,7 +24,6 @@ from latorb.isometries import (
     is_in_hy,
     is_in_ky,
     is_in_so_plus,
-    is_in_unipotent_radical,
     map_isotropic,
     reflection,
 )
@@ -267,7 +265,6 @@ def test_stabilizer_predicates():
     assert is_in_hy(h, u, y)
     ident = identity_isometry(T4)
     assert is_in_gu(ident, u) and is_in_hy(ident, u, y) and is_in_ky(ident, u, y)
-    assert is_in_unipotent_radical(ident, adapted_basis(T4, u))
     # something that moves u is in none of them
     moved = map_isotropic(T4, u, (0, 1, 0, 0, 0, 0))
     assert not is_in_gu(moved, u)
@@ -286,33 +283,6 @@ def test_predicate_implication_chain():
             assert is_in_ky(g, u, y)
         if is_in_ky(g, u, y):
             assert is_in_gu(g, u)
-
-
-def test_adapted_basis():
-    B = adapted_basis(T4, X1)
-    assert B.vectors[-1] == X1
-    assert len(B.vectors) == 5
-    for w in B.vectors:
-        assert inner(T4, w, X1) == 0
-    # spans exactly u-perp inside the lattice
-    ker = intlin.kernel_basis([gram_column(T4, X1)])
-    assert intlin.hnf_basis([list(w) for w in B.vectors]) == ker
-    with pytest.raises(NotPrimitive):
-        adapted_basis(T4, (2, 0, 0, 0, 0, 0))
-    with pytest.raises(NotIsotropic):
-        adapted_basis(T4, (1, 1, 0, 0, 0, 0))
-
-
-def test_unipotent_radical_shape():
-    u = X1
-    B = adapted_basis(T4, u)
-    for a in ((0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 1, 1, 2, 0)):
-        g = eichler_transvection(T4, u, a)
-        assert is_in_unipotent_radical(g, B)
-    # a complement transvection fixes u but shears u-perp off the u-line
-    g = eichler_transvection(T4, (0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0))
-    assert is_in_gu(g, u)
-    assert not is_in_unipotent_radical(g, B)
 
 
 def test_gu_lattice_generators():

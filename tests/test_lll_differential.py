@@ -94,8 +94,16 @@ def test_lll_matches_reference_on_solver_embeddings(checked_lll, n, seed):
     assert checked_lll == [n * n] * 10
 
 
-def test_lll_matches_reference_on_genericity_embedding(checked_lll):
+def _relation_embedding(c):
+    """Integer-relation embedding of the entries of C⁻¹: identity rows, each
+    with its entry scaled by 1e12 appended as a last column."""
+    entries = np.linalg.inv(c).flatten()
+    k = len(entries)
+    return [np.concatenate([np.eye(k)[i], [1e12 * entries[i]]]) for i in range(k)]
+
+
+def test_lll_matches_reference_on_genericity_embedding():
     c, _ = _random_target(random.Random("lll-genericity"), 3)
-    tf.genericity_score(c, 1000)
-    tf.genericity_score(np.eye(2), 10)
-    assert checked_lll == [9, 4]
+    for m in (c, np.eye(2)):
+        rows = _relation_embedding(m)
+        assert_matches_reference(rows, tf._lll(rows))

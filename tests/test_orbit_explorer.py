@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from latorb import orbit_explorer as oe
-from latorb.errors import NotIsotropic, NotPositiveNorm, NotPrimitive
+from latorb.errors import InvalidTolerance, NotIsotropic, NotPositiveNorm, NotPrimitive
 from latorb.isometries import Isometry, compose, gu_lattice_generators, invert
 from latorb.lattice_core import t4_model
 
 L = t4_model()
 U_VEC = (1, 0, 0, 0, 0, 0)
-GRAM = np.array([list(r) for r in L.gram], dtype=float)
 
 
 def sample_point(rng):
@@ -51,29 +50,6 @@ def test_projection_without_u_only_rescales():
 def test_projection_rejects_nonpositive_norm():
     with pytest.raises(NotPositiveNorm):
         oe.project_to_hyperboloid(L, (0.0, 0.0, 1.0, -1.0, 0.0, 0.0), U_VEC)
-
-
-def test_transitive_move_random_pairs():
-    rng = random.Random(7)
-    for _ in range(10):
-        a, b = sample_point(rng), sample_point(rng)
-        g = oe.gu_real_transitive_move(L, U_VEC, a, b)
-        assert np.max(np.abs(g.T @ GRAM @ g - GRAM)) <= 1e-9
-        assert np.max(np.abs(g @ np.array(a.coords) - np.array(b.coords))) <= 1e-8
-        assert np.max(np.abs(g @ np.array(U_VEC, float) - np.array(U_VEC, float))) <= 1e-9
-        assert abs(np.linalg.det(g) - 1.0) <= 1e-9
-
-
-def test_transitive_move_identity_and_errors():
-    rng = random.Random(11)
-    y = sample_point(rng)
-    assert np.array_equal(oe.gu_real_transitive_move(L, U_VEC, y, y), np.eye(6))
-    stretched = oe.HyperboloidPoint(tuple(2 ** 0.5 * c for c in y.coords))
-    with pytest.raises(ValueError):
-        oe.gu_real_transitive_move(L, U_VEC, y, stretched)
-    tilted = oe.HyperboloidPoint((0.9, 1.0, 1.0, 0.7, 0.25, 0.1))
-    with pytest.raises(ValueError):
-        oe.gu_real_transitive_move(L, U_VEC, y, tilted)
 
 
 def test_walk_stays_on_hyperboloid():
@@ -132,6 +108,14 @@ def test_explore_rejects_bad_u_and_empty_generators():
         oe.explore(L, (2, 0, 0, 0, 0, 0), y0, [y0], depth=1)
     with pytest.raises(ValueError):
         oe.explore(L, U_VEC, y0, [y0], depth=1, generators=[])
+
+
+def test_explore_rejects_non_positive_or_non_finite_dedup_tol():
+    # a zero, infinite or NaN grid rounds every image into one key
+    y0 = sample_point(random.Random(29))
+    for bad in (0.0, -1e-7, float("inf"), float("nan")):
+        with pytest.raises(InvalidTolerance):
+            oe.explore(L, U_VEC, y0, [y0], depth=1, dedup_tol=bad)
 
 
 def test_explore_equivariant_under_coordinate_isometry():

@@ -1,7 +1,9 @@
 """Source checks on the package: its checks must survive `python -O`,
-which strips asserts, and no module may change an imported module's state."""
+which strips asserts, no module may change an imported module's state, and
+no public name may go unused."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -74,3 +76,36 @@ def test_no_assignment_to_imported_module_state(module):
         if _root_name(obj) in imported
     ]
     assert lines == [], f"{module} assigns to imported module state at {lines}"
+
+
+def _used_names(node):
+    """Names and attributes the node reads; imports alone do not count."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_definition_has_a_use():
+    # a public function or class either serves other code in the package or
+    # is named in the README contract; otherwise only its own tests reach it
+    readme = (SRC.parents[1] / "README.md").read_text()
+    documented = {
+        w for span in re.findall(r"`([^`]*)`", readme) for w in re.findall(r"\w+", span)
+    }
+    definitions = []
+    uses = []  # (module, top-level node name, names it reads)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            name = getattr(node, "name", None)
+            uses.append((path.name, name, _used_names(node)))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not name.startswith("_"):
+                definitions.append((path.name, name))
+    unused = [
+        f"{module}:{name}"
+        for module, name in definitions
+        if name not in documented
+        and not any(name in used for m, n, used in uses if (m, n) != (module, name))
+    ]
+    assert unused == [], f"public names with no use in src/ and no README mention: {unused}"

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import compose_shears, darboux, standard_complement, standard_lagrangian
 from latorb import intlin, torus_forms as tf
 from latorb.errors import (
     DegenerateGram,
@@ -51,12 +52,12 @@ def random_shear(rng, n=2, with_a=True):
     return tf.IntegralShear(b, a)
 
 
-# --- pfaffian and volume ----------------------------------------------------
+# --- pfaffian ---------------------------------------------------------------
 
 
 def test_darboux_pfaffian_is_one():
     for n in (1, 2, 3, 4):
-        assert tf.pfaffian(tf.darboux(n)) == 1.0
+        assert tf.pfaffian(darboux(n)) == 1.0
 
 
 def test_pfaffian_squares_to_determinant():
@@ -72,7 +73,7 @@ def test_pfaffian_squares_to_determinant():
 
 def test_pfaffian_congruence_sign():
     rng = random.Random(5)
-    base = tf.darboux(2).matrix
+    base = darboux(2).matrix
     for _ in range(20):
         g = np.array(random_unimodular(rng, 4), dtype=float)
         sign = round(np.linalg.det(g))
@@ -87,28 +88,6 @@ def test_pfaffian_rejects_bad_input():
         tf.pfaffian(np.ones((2, 2)))
 
 
-def test_normalize_volume_rescales_doubled_form():
-    doubled = 2.0 * tf.darboux(2).matrix
-    assert tf.pfaffian(doubled) == 4.0
-    back = tf.normalize_volume(doubled)
-    assert np.array_equal(back.matrix, tf.darboux(2).matrix)
-
-
-def test_normalize_volume_error_cases():
-    with pytest.raises(DegenerateGram):
-        tf.normalize_volume(np.zeros((4, 4)))
-    flipped = tf.darboux(2).matrix.copy()
-    flipped[[0, 1]] = flipped[[1, 0]]
-    flipped[:, [0, 1]] = flipped[:, [1, 0]]  # swaps one pair: pfaffian -1
-    assert tf.pfaffian(flipped) == -1.0
-    with pytest.raises(ValueError):
-        tf.normalize_volume(flipped)
-    # odd pair count can absorb the sign into the scale
-    neg6 = -tf.darboux(3).matrix
-    fixed = tf.normalize_volume(neg6)
-    assert tf.pfaffian(fixed) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_degenerate_form_is_rejected_at_construction():
     with pytest.raises(DegenerateGram):
         tf.LinearSymplecticForm(np.zeros((2, 2)))
@@ -118,9 +97,9 @@ def test_degenerate_form_is_rejected_at_construction():
 
 
 def test_standard_planes_are_lagrangian():
-    omega = tf.darboux(2)
-    assert tf.is_lagrangian_subspace(omega, tf.standard_lagrangian(2))
-    assert tf.is_lagrangian_subspace(omega, tf.standard_complement(2))
+    omega = darboux(2)
+    assert tf.is_lagrangian_subspace(omega, standard_lagrangian(2))
+    assert tf.is_lagrangian_subspace(omega, standard_complement(2))
     mixed = Sublattice(((1, 0, 0, 0), (0, 1, 0, 0)))  # one full pair
     assert not tf.is_lagrangian_subspace(omega, mixed)
     with pytest.raises(DimensionMismatch):
@@ -128,28 +107,28 @@ def test_standard_planes_are_lagrangian():
 
 
 def test_to_blocks_standard_is_identity():
-    f = tf.to_blocks(tf.darboux(2), tf.standard_lagrangian(2), tf.standard_complement(2))
+    f = tf.to_blocks(darboux(2), standard_lagrangian(2), standard_complement(2))
     assert np.array_equal(f.c, np.eye(2))
     assert np.array_equal(f.d, np.zeros((2, 2)))
 
 
 def test_to_blocks_rejects_non_complementary_pair():
-    omega = tf.darboux(2)
-    l = tf.standard_lagrangian(2)
+    omega = darboux(2)
+    l = standard_lagrangian(2)
     doubled = Sublattice(((2, 0, 0, 0), (0, 0, 2, 0)))  # index-4 sublattice
     with pytest.raises(NotComplementary):
         tf.to_blocks(omega, l, doubled)
 
 
 def test_to_blocks_rejects_non_vanishing_plane():
-    omega = tf.darboux(2)
+    omega = darboux(2)
     bad = Sublattice(((1, 0, 0, 0), (0, 1, 0, 0)))
     with pytest.raises(NotVanishingOnL):
         tf.to_blocks(omega, bad, Sublattice(((0, 0, 1, 0), (0, 0, 0, 1))))
 
 
 def test_blocks_round_trip_exactly_on_standard_planes():
-    l, lp = tf.standard_lagrangian(2), tf.standard_complement(2)
+    l, lp = standard_lagrangian(2), standard_complement(2)
     f = tf.SplitBlockForm(np.eye(2), np.array([[0.0, 0.5], [-0.5, 0.0]]))
     back = tf.to_blocks(tf.from_blocks(f, l, lp), l, lp)
     assert np.array_equal(back.c, f.c)
@@ -216,7 +195,7 @@ def test_act_composes_as_congruence():
         g = random_shear(rng)
         h = random_shear(rng)
         chained = tf.act(h, tf.act(g, f))
-        combined = tf.act(tf.compose_shears(g, h), f)
+        combined = tf.act(compose_shears(g, h), f)
         assert np.max(np.abs(chained.assembled() - combined.assembled())) <= 1e-10
 
 
@@ -280,6 +259,13 @@ def test_solver_validates_tolerances():
         tf.approx_by_split_orbit(f, 1e-2, -0.1)
     with pytest.raises(InvalidTolerance):
         tf.approx_by_split_orbit(f, 1e-2, 0.1, budget=0)
+    # NaN and infinity are rejected too, even for a zero target that needs
+    # no round
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InvalidTolerance):
+            tf.approx_by_split_orbit(f, bad, 0.1)
+        with pytest.raises(InvalidTolerance):
+            tf.approx_by_split_orbit(f, 1e-2, bad)
 
 
 def test_solver_output_is_self_consistent():
@@ -336,8 +322,8 @@ def _hex(m):
 
 
 def test_solver_golden_outputs():
-    # exact floats and integers of the solver and the relation search, as
-    # recorded before the reduction kept its Gram–Schmidt data row by row
+    # exact floats and integers of the solver, as recorded before the
+    # reduction kept its Gram–Schmidt data row by row
     for case in GOLDEN["solves"]:
         f = tf.SplitBlockForm(_unhex(case["C"]), _unhex(case["D"]))
         try:
@@ -350,46 +336,6 @@ def test_solver_golden_outputs():
         assert [list(r) for r in res.b] == case["b"]
         assert res.err.hex() == case["err"]
         assert res.rounds == case["rounds"]
-    for case in GOLDEN["genericity"]:
-        rep = tf.genericity_score(_unhex(case["C"]), case["bound"])
-        assert rep.found == case["found"]
-        relation = None if rep.relation is None else [int(x) for x in rep.relation]
-        assert relation == case["relation"]
-        residual = None if rep.residual is None else float(rep.residual).hex()
-        assert residual == case["residual"]
-
-
-# --- genericity heuristic ----------------------------------------------------
-
-
-def test_genericity_identity_has_a_relation():
-    rep = tf.genericity_score(np.eye(2), 10)
-    assert rep.found
-    assert rep.residual == 0.0
-    m = np.array(rep.relation, dtype=float)
-    assert abs(float(m @ np.linalg.inv(np.eye(2)).flatten())) == 0.0
-
-
-def test_genericity_generic_matrix_passes():
-    c = np.array(
-        [
-            [1.3819660112501051, 0.4142135623730951],
-            [0.2360679774997896, 0.7947331922020551],
-        ]
-    )
-    c = c / np.linalg.det(c) ** 0.5
-    for bound in (10, 100, 1000):
-        rep = tf.genericity_score(c, bound)
-        assert not rep.found
-        if rep.residual is not None:
-            assert rep.residual > tf.RELATION_TOL
-
-
-def test_genericity_bound_zero_and_singular():
-    rep = tf.genericity_score(np.eye(2), 0)
-    assert rep == tf.GenericityReport(False, None, None)
-    with pytest.raises(ValueError):
-        tf.genericity_score(np.zeros((2, 2)), 10)
 
 
 # --- exterior-square bridge --------------------------------------------------
