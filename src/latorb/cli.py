@@ -7,6 +7,7 @@ identical inputs and seed give byte-identical stdout.
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -51,7 +52,17 @@ class CliParseError(Exception):
     pass
 
 
+# argparse takes only "-1" and "-.5" for negative numbers and reads "-1e-2"
+# or "-inf" as an option flag; no latorb option looks like a number, so
+# every negative float literal is a value.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.I)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         raise CliParseError(message)
 

@@ -3,15 +3,15 @@
 Everything here is arbitrary precision (Python ints, fractions.Fraction);
 no floating point.  Inputs may be any sequence of rows (lists or tuples);
 results are lists of lists.  These are the primitives behind the lattice
-layer: canonical Hermite/Smith forms, integer kernels, exact inertia, and
+layer: canonical Hermite forms, integer kernels, exact inertia, and
 rational elimination.
 
 Elimination is done one way each: over Q by the single Fraction
 Gauss–Jordan routine `_rref` (rank and inverse), and over Z by
-`row_hnf` (Hermite form, kernel, unimodular inverse).  Beside them sit the
-fraction-free `det_bareiss`, the Smith form `snf`, and one symmetric
-congruence reduction `_congruence_diagonal`, read by `signature` (the
-signs of its diagonal) and `positive_basis` (its positive columns).
+`row_hnf` (Hermite form, kernel, unimodular inverse, saturation).  Beside
+them sit the fraction-free `det_bareiss` and one symmetric congruence
+reduction `_congruence_diagonal`, read by `signature` (the signs of its
+diagonal) and `positive_basis` (its positive columns).
 """
 
 from fractions import Fraction
@@ -222,86 +222,6 @@ def kernel_basis(a):
     h, u = row_hnf(at)
     ker = [u[i] for i in range(len(h)) if not any(h[i])]
     return hnf_basis(ker)
-
-
-def snf(m):
-    """Smith normal form with transforms: returns (d, p, q), p·m·q = d.
-
-    Elementary divisors are nonnegative and ordered by divisibility.
-    """
-    if not m:
-        return [], [], []
-    d = [list(row) for row in m]
-    nrows, ncols = len(d), len(d[0])
-    p = identity(nrows)
-    q = identity(ncols)
-
-    def row_op(i, j, f):  # row i -= f * row j
-        d[i] = [a - f * b for a, b in zip(d[i], d[j])]
-        p[i] = [a - f * b for a, b in zip(p[i], p[j])]
-
-    def col_op(i, j, f):  # col i -= f * col j
-        for row in d:
-            row[i] -= f * row[j]
-        for row in q:
-            row[i] -= f * row[j]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        p[i], p[j] = p[j], p[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in q:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(nrows, ncols):
-        # locate a minimal nonzero entry in the trailing submatrix
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, nrows):
-                if d[i][t] != 0:
-                    f = d[i][t] // d[t][t]
-                    row_op(i, t, f)
-                    if d[i][t] != 0:  # remainder became the smaller pivot
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if d[t][j] != 0:
-                    f = d[t][j] // d[t][t]
-                    col_op(j, t, f)
-                    if d[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        # enforce divisibility of the whole trailing block by the pivot
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if d[i][j] % d[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_op(t, offender, -1)  # row t += offending row; redo this pivot
-            continue
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            p[t] = [-x for x in p[t]]
-        t += 1
-    return d, p, q
 
 
 def _congruence_diagonal(gram):

@@ -25,12 +25,7 @@ from .errors import (
     NotPositiveNorm,
     PrecisionError,
 )
-from .lattice_core import (
-    QuadLattice,
-    Sublattice,
-    gram_column,
-    split_hyperbolic,
-)
+from .lattice_core import QuadLattice, Sublattice, _check_split, gram_column
 
 # Interval evaluation runs in a private mpmath context at a fixed working
 # precision (bits), so it never reads or changes the global mpmath.iv.
@@ -206,27 +201,18 @@ def certified_norm_sign(L: QuadLattice, y: SymbolicRealVector):
 def is_u_orthoirrational(L: QuadLattice, u, y: SymbolicRealVector) -> bool:
     """Does y avoid every real plane through u and a lattice point of u^⊥?
 
-    Projects y into u^⊥/Span{u} along the hyperbolic partner of u and
-    measures the Q-rank of the per-symbol coordinate matrix: rank ≤ 1
-    exactly when the projection is a real multiple of one rational point,
-    i.e. when y lies in Span_R{u, x} for some lattice x.
+    Every symbol column c_j of y lies in u^⊥, so its projection into
+    u^⊥/Span{u} along the hyperbolic partner of u drops only the u part,
+    and the Q-rank of the projections is rank_Q{u, c_j} − 1.  That rank is
+    ≤ 1 exactly when the projection is a real multiple of one rational
+    point, i.e. when y lies in Span_R{u, x} for some lattice x.
     """
     if any(c != 0 for c in symbolic_inner(L, y, u)):
         raise NotOrthogonal("y must pair to zero with u at every symbol")
     if certified_norm_sign(L, y) < 0:
         raise NotPositiveNorm("y must have positive norm")
-    z, comp = split_hyperbolic(L, u)
-    n = L.rank
-    cols = [u, z, *comp.basis]
-    t = [[cols[j][i] for j in range(n)] for i in range(n)]
-    tinv = intlin.integer_inverse(t)  # [u, z, *comp] is a Z-basis
-    projected = []
-    for col in y.columns():
-        coords = intlin.mat_vec(tinv, col)
-        if coords[1] != 0:  # the z-coordinate is the pairing with u
-            raise AssertionError("projection left a component along z")
-        projected.append(coords[2:])
-    return intlin.rational_rank(projected) >= 2
+    u = _check_split(L, u)
+    return intlin.rational_rank([u, *y.columns()]) >= 3
 
 
 def find_isotropic_orthogonal(L: QuadLattice, y: SymbolicRealVector, height):

@@ -164,16 +164,18 @@ def reflection(L: QuadLattice, a) -> Isometry:
 class _Frame:
     """Two orthogonal hyperbolic planes (e1,f1), (e2,f2) plus the remainder.
 
-    The column matrix [e1 f1 e2 f2 | rest] is a basis of the lattice; tinv
-    recovers coordinates of any vector in that basis.
+    The column matrix [e1 f1 e2 f2 | rest] is a basis of the lattice.  The
+    planes are orthogonal to each other and to rest, so the coordinate of
+    e1 is the pairing with f1 and so on; partners holds the Gram columns
+    of f1, e1, f2, e2 for those pairings.
     """
 
-    __slots__ = ("e1", "f1", "e2", "f2", "rest", "tinv")
+    __slots__ = ("e1", "f1", "e2", "f2", "rest", "partners")
 
-    def __init__(self, e1, f1, e2, f2, rest, tinv):
+    def __init__(self, L, e1, f1, e2, f2, rest):
         self.e1, self.f1, self.e2, self.f2 = e1, f1, e2, f2
         self.rest = rest
-        self.tinv = tinv
+        self.partners = [gram_column(L, v) for v in (f1, e1, f2, e2)]
 
 
 @lru_cache(maxsize=None)
@@ -204,10 +206,7 @@ def _hyperbolic_frame(L: QuadLattice) -> _Frame:
     e2 = to_ambient(e2c)
     f2 = to_ambient(f2c)
     rest = tuple(to_ambient(c) for c in comp2.basis)
-    cols = [e1, f1, e2, f2, *rest]
-    t = [[cols[j][i] for j in range(n)] for i in range(n)]
-    tinv = intlin.integer_inverse(t)
-    return _Frame(e1, f1, e2, f2, rest, tinv)
+    return _Frame(L, e1, f1, e2, f2, rest)
 
 
 class _Reduction:
@@ -223,8 +222,8 @@ class _Reduction:
         self.word = []
 
     def coords(self):
-        c = intlin.mat_vec(self.fr.tinv, self.t)
-        return c[0], c[1], c[2], c[3], c[4:]
+        """Coordinates of t along e1, f1, e2, f2."""
+        return tuple(_dot(g, self.t) for g in self.fr.partners)
 
     def emit(self, e, a):
         ge, ga = gram_column(self.L, e), gram_column(self.L, a)
@@ -266,7 +265,7 @@ class _Reduction:
         )
 
     def run(self):
-        al, be, ga, de, _ = self.coords()
+        al, be, ga, de = self.coords()
         if al == be == ga == de == 0:
             # t lies in the plane-orthogonal remainder; pull it towards e1
             # with a pure translation (the e1-pairing is zero, so no
@@ -276,7 +275,7 @@ class _Reduction:
                 raise AssertionError("remainder pairings are not coprime")
             self.emit(self.fr.e1, self.rest_combination([-c for c in coeffs]))
         self.dance()
-        al, be, ga, de, _ = self.coords()
+        al, be, ga, de = self.coords()
         if al != 1:
             # fold the remainder divisor into the plane coefficients, then
             # rerun the euclidean dance; primitivity forces gcd 1 overall
@@ -285,7 +284,7 @@ class _Reduction:
                 raise AssertionError("remainder pairings vanish")
             self.emit(self.fr.e2, self.rest_combination(coeffs))
             self.dance()
-            al, be, ga, de, _ = self.coords()
+            al, be, ga, de = self.coords()
         if not (al == 1 and ga == 0 and de == 0):
             raise AssertionError("euclidean dance left a non-unit corner")
         w = tuple(
@@ -300,7 +299,7 @@ class _Reduction:
     def dance(self):
         """Euclidean reduction of M to [[g,0],[0,*]] with g = gcd > 0."""
         while True:
-            al, be, ga, de, _ = self.coords()
+            al, be, ga, de = self.coords()
             if de != 0:
                 if al == 0 or abs(de) < abs(al):
                     self.swap_left()

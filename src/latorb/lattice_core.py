@@ -3,7 +3,7 @@
 A lattice is held as its Gram matrix; vectors are integer coordinate tuples
 in the implied basis.  Everything is exact — no floats.  Provides the
 standard even unimodular models (hyperbolic plane, negated E8, and the two
-rank-6/rank-22 direct sums used throughout), Hermite/Smith-based sublattice
+rank-6/rank-22 direct sums used throughout), Hermite-based sublattice
 calculus, and constructive hyperbolic splitting off an isotropic vector.
 """
 
@@ -189,14 +189,18 @@ def orthogonal_sublattice(L: QuadLattice, vectors: Iterable) -> Sublattice:
 
 
 def saturation(L: QuadLattice, S: Sublattice) -> Sublattice:
-    """Smallest saturated sublattice containing S (same rational span)."""
+    """Smallest saturated sublattice containing S (same rational span).
+
+    With u·B = [H; 0] for the basis columns B, B = u⁻¹[H; 0]: the first k
+    columns of u⁻¹ span B's rational space and extend to a unimodular
+    matrix, so they span its saturation.
+    """
     if S.rank == 0:
         return S
     cols = intlin.transpose([_check_vec(L, v) for v in S.basis])
-    _, p, _ = intlin.snf(cols)
-    pinv = intlin.integer_inverse(p)
-    k = S.rank
-    sat_rows = [[pinv[i][j] for i in range(L.rank)] for j in range(k)]
+    _, u = intlin.row_hnf(cols)
+    uinv = intlin.integer_inverse(u)
+    sat_rows = [[uinv[i][j] for i in range(L.rank)] for j in range(S.rank)]
     return Sublattice(intlin.hnf_basis(sat_rows))
 
 
@@ -205,26 +209,36 @@ def extend_to_unimodular_basis(S: Sublattice):
 
     Output columns: the input basis first, then a complement; realizes the
     transitivity of the integral linear group on saturated sublattices of a
-    fixed rank.
+    fixed rank.  The matrix is u⁻¹ for the Hermite transform u of the
+    basis columns, whose Hermite block is the identity exactly when the
+    basis is saturated.
     """
     if S.rank == 0:
         raise ValueError("cannot infer ambient rank from an empty basis")
     m = len(S.basis[0])
-    cols = intlin.transpose(S.basis)
-    d, p, _ = intlin.snf(cols)
     k = S.rank
-    if any(d[i][i] != 1 for i in range(k)):
+    h, u = intlin.row_hnf(intlin.transpose(S.basis))
+    if h[:k] != intlin.identity(k):
         raise NotSaturated("basis does not span a saturated sublattice")
-    pinv = intlin.integer_inverse(p)
-    out = [[cols[i][j] for j in range(k)] + [pinv[i][j] for j in range(k, m)]
-           for i in range(m)]
-    det = intlin.det_bareiss(out)
-    if abs(det) != 1:
-        raise AssertionError("unimodular completion failed")
-    if det == -1 and m > k:
+    out = intlin.integer_inverse(u)
+    if intlin.det_bareiss(out) == -1 and m > k:
         for i in range(m):
             out[i][m - 1] = -out[i][m - 1]
     return tuple(tuple(r) for r in out)
+
+
+def _check_split(L: QuadLattice, u) -> list:
+    """Raises unless a hyperbolic plane splits off at u; returns u."""
+    u = _check_vec(L, u)
+    if not is_even(L) or not is_unimodular(L):
+        raise NoHyperbolicSplit(
+            "hyperbolic splitting requires an even unimodular lattice"
+        )
+    if inner(L, u, u) != 0:
+        raise NotIsotropic("u must be isotropic")
+    if not is_primitive(L, u):
+        raise NotPrimitive("u must be primitive")
+    return u
 
 
 def split_hyperbolic(L: QuadLattice, u):
@@ -235,15 +249,7 @@ def split_hyperbolic(L: QuadLattice, u):
     with Lprime = {u,z}^⊥ — even, unimodular, signature dropped by (1,1);
     the combined basis {u, z} ∪ Lprime.basis generates the whole lattice.
     """
-    u = _check_vec(L, u)
-    if not is_even(L) or not is_unimodular(L):
-        raise NoHyperbolicSplit(
-            "hyperbolic splitting requires an even unimodular lattice"
-        )
-    if inner(L, u, u) != 0:
-        raise NotIsotropic("u must be isotropic")
-    if not is_primitive(L, u):
-        raise NotPrimitive("u must be primitive")
+    u = _check_split(L, u)
     g, coeffs = intlin.xgcd_vector(gram_column(L, u))
     if g != 1:
         raise NotPrimitive("u pairs non-trivially modulo its divisor")

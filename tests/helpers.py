@@ -8,9 +8,21 @@ import sympy
 from sympy.matrices.normalforms import invariant_factors
 
 from latorb import intlin
-from latorb.errors import DegenerateGram
-from latorb.irrationality import UNIT, Symbol, from_columns
-from latorb.lattice_core import Sublattice, gram_column, inner, k3_model
+from latorb.errors import DegenerateGram, NotOrthogonal, NotPositiveNorm
+from latorb.irrationality import (
+    UNIT,
+    Symbol,
+    certified_norm_sign,
+    from_columns,
+    symbolic_inner,
+)
+from latorb.lattice_core import (
+    Sublattice,
+    gram_column,
+    inner,
+    k3_model,
+    split_hyperbolic,
+)
 from latorb.torus_forms import IntegralShear, LinearSymplecticForm
 
 
@@ -210,6 +222,30 @@ def reference_signature(gram):
             s[k][i] = s[i][k] = s[k][j] = s[j][k] = Fraction(0)
         active = rest
     return p, q
+
+
+def reference_is_u_orthoirrational(L, u, y):
+    """`is_u_orthoirrational` by explicit projection, as it was before it
+    became one rank test: each symbol column is written in the Z-basis
+    [u, z, *complement] of the hyperbolic split at u, and the coordinates
+    past u and z are the projection into u^⊥/Span{u}.  The oracle for the
+    rank test."""
+    if any(c != 0 for c in symbolic_inner(L, y, u)):
+        raise NotOrthogonal("y must pair to zero with u at every symbol")
+    if certified_norm_sign(L, y) < 0:
+        raise NotPositiveNorm("y must have positive norm")
+    z, comp = split_hyperbolic(L, u)
+    n = L.rank
+    cols = [u, z, *comp.basis]
+    t = [[cols[j][i] for j in range(n)] for i in range(n)]
+    tinv = intlin.integer_inverse(t)  # [u, z, *comp] is a Z-basis
+    projected = []
+    for col in y.columns():
+        coords = intlin.mat_vec(tinv, col)
+        if coords[1] != 0:  # the z-coordinate is the pairing with u
+            raise AssertionError("projection left a component along z")
+        projected.append(coords[2:])
+    return intlin.rational_rank(projected) >= 2
 
 
 def spans_saturated(rows):

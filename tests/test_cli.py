@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from latorb import jsonio
+import latorb
+from latorb import intlin, jsonio
 from latorb.cli import main
 
 T4_U = "[1,0,0,0,0,0]"
@@ -34,6 +39,18 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def run_process(*argv):
+    """The CLI in its own process, so an input it cannot finish on fails
+    with TimeoutExpired instead of hanging the suite."""
+    src = str(Path(latorb.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "latorb.cli", *argv],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 def test_lattice_info_models(capsys):
@@ -287,6 +304,27 @@ def test_explore_verb_json_format(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("torus", "approx", "--target", '{"C":[[1,0],[0,1]],"D":[[0,0],[0,0]]}',
+         "--eps", "-1e-2"),
+        ("torus", "approx", "--target", '{"C":[[1,0],[0,1]],"D":[[0,0],[0,0]]}',
+         "--eps", "1e-2", "--delta", "-inf"),
+        ("explore", "--model", "t4", "--u", T4_U,
+         "--y0", "[0.0,0.0,0.594603557501361,0.8408964152537145,0.0,0.0]",
+         "--targets", "[[0.0,0.0,1.0,0.5,0.0,0.0]]", "--depth", "3",
+         "--dedup-tol", "-1e-7"),
+    ],
+)
+def test_negative_float_literal_is_a_value(capsys, argv):
+    # a negative number in exponent or infinity spelling reaches the
+    # domain check instead of being read as an option flag
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "InvalidTolerance"
+
+
 @pytest.mark.parametrize("tol", ["0", "-1e-7", "nan", "inf"])
 def test_explore_rejects_bad_dedup_tol(capsys, tol):
     code, out, err = run(
@@ -298,6 +336,44 @@ def test_explore_rejects_bad_dedup_tol(capsys, tol):
     )
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "InvalidTolerance"
+
+
+# A full-rank basis of Z^7 of index > 1 with entries up to 5; a Smith-form
+# elimination of it grows its entries past thousands of digits.
+FULL_RANK_BASIS = json.dumps([
+    [3, 4, -1, 4, 0, -5, -1],
+    [-3, 3, 1, -1, 1, 0, -3],
+    [-1, 5, -2, -5, -5, 2, -3],
+    [-1, 1, 5, -1, 1, 4, 5],
+    [2, 0, 3, 3, 0, 4, -5],
+    [-3, 4, 2, 5, -5, 3, 2],
+    [2, 0, -5, -2, 3, -5, 2],
+])
+
+
+def test_lattice_saturate_full_rank_basis():
+    i7 = intlin.identity(7)
+    done = run_process(
+        "lattice", "saturate", "--lattice", json.dumps({"gram": i7}),
+        "--basis", FULL_RANK_BASIS,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == json.dumps({"basis": i7}) + "\n"
+
+
+def test_lattice_extend_rejects_unsaturated_full_rank_basis():
+    done = run_process("lattice", "extend", "--basis", FULL_RANK_BASIS)
+    assert done.returncode == 2 and done.stdout == ""
+    assert json.loads(done.stderr)["error"] == "NotSaturated"
+
+
+def test_lattice_extend_saturated_basis(capsys):
+    basis = [[0, 1, 3], [2, -2, -1]]
+    m = jsonio.decode_matrix(
+        run_json(capsys, "lattice", "extend", "--basis", json.dumps(basis))["matrix"]
+    )
+    assert intlin.det_bareiss(m) == 1
+    assert [[row[j] for row in m] for j in range(2)] == basis
 
 
 def test_threads_flag_is_rejected(capsys):

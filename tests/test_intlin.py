@@ -141,36 +141,6 @@ def test_kernel_basis_properties():
             assert spans_saturated(ker)
 
 
-def test_snf_known():
-    m = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    d, p, q = intlin.snf(m)
-    assert intlin.mat_eq(intlin.mat_mul(intlin.mat_mul(p, m), q), d)
-    assert [d[i][i] for i in range(3)] == [2, 2, 156]
-
-
-def test_snf_properties():
-    rng = random.Random(6)
-    for _ in range(60):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        m = random_matrix(rng, rows, cols, -12, 12)
-        d, p, q = intlin.snf(m)
-        assert abs(intlin.det_bareiss(p)) == 1
-        assert abs(intlin.det_bareiss(q)) == 1
-        assert intlin.mat_eq(intlin.mat_mul(intlin.mat_mul(p, m), q), d)
-        divisors = [d[i][i] for i in range(min(rows, cols))]
-        for i in range(rows):
-            for j in range(cols):
-                if i != j:
-                    assert d[i][j] == 0
-        for a, b in zip(divisors, divisors[1:]):
-            assert a >= 0
-            if a != 0:
-                assert b % a == 0
-            else:
-                assert b == 0
-
-
 def test_rational_solve_and_inverse():
     with pytest.raises(ValueError):
         intlin.rational_inverse([[1, 2], [2, 4]])

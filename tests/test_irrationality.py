@@ -3,10 +3,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import engineered_k3_vector
+from helpers import engineered_k3_vector, reference_is_u_orthoirrational
 from latorb import intlin, irrationality
-from latorb.errors import NotOrthogonal, PrecisionError
+from latorb.errors import (
+    DimensionMismatch,
+    DomainError,
+    NoHyperbolicSplit,
+    NotIsotropic,
+    NotOrthogonal,
+    NotPositiveNorm,
+    NotPrimitive,
+    PrecisionError,
+)
 from latorb.irrationality import (
     CERTIFIED,
     INCONCLUSIVE,
@@ -27,7 +38,14 @@ from latorb.irrationality import (
     transform,
 )
 from latorb.isometries import compose, gu_lattice_generators, identity_isometry
-from latorb.lattice_core import gram_column, inner, is_isotropic, t4_model
+from latorb.lattice_core import (
+    QuadLattice,
+    gram_column,
+    inner,
+    is_isotropic,
+    orthogonal_sublattice,
+    t4_model,
+)
 
 T4 = t4_model()
 SQRT2 = Symbol("sqrt2", math.sqrt(2))
@@ -138,6 +156,60 @@ def test_is_u_orthoirrational_examples():
     assert is_u_orthoirrational(T4, X1, yr) is False
     with pytest.raises(NotOrthogonal):
         is_u_orthoirrational(T4, (0, 0, 1, 0, 0, 0), Y_IRR)
+
+
+@pytest.mark.parametrize(
+    "L, u, y, error",
+    [
+        (T4, (1, 0, 0, 0, 0), Y_IRR, DimensionMismatch),
+        (T4, (0, 0, 2, 0, 0, 0), Y_IRR, NotOrthogonal),
+        # each later case also breaks every precondition checked after it
+        (T4, (2, 0, 0, 0, 0, 0), rational_vector((0, 0, 1, -1, 0, 0)), NotPositiveNorm),
+        (QuadLattice(((0, 2), (2, 0))), (2, 0), rational_vector((1, 0)), NoHyperbolicSplit),
+        (T4, (2, 2, 0, 0, 0, 0), rational_vector((0, 0, 1, 1, 0, 0)), NotIsotropic),
+        (T4, (2, 0, 0, 0, 0, 0), Y_IRR, NotPrimitive),
+        (T4, (0, 0, 0, 0, 0, 0), Y_IRR, ValueError),
+    ],
+)
+def test_is_u_orthoirrational_preconditions_in_order(L, u, y, error):
+    for decide in (is_u_orthoirrational, reference_is_u_orthoirrational):
+        with pytest.raises(error) as info:
+            decide(L, u, y)
+        assert info.type is error
+
+
+def _outcome(decide, u, y):
+    try:
+        return decide(T4, u, y)
+    except DomainError as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([-2, -1, 1, 2]),
+    st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+    st.integers(0, 2),
+    st.booleans(),
+    st.integers(1, 3),
+    st.lists(st.integers(-2, 2), min_size=15, max_size=15),
+)
+def test_is_u_orthoirrational_matches_projection(p, w, plane, swap, symbols, coeffs):
+    # u has w on two hyperbolic planes and (p, q) on the third, with q
+    # solving p·q + w0·w1 + w2·w3 = 0
+    q, rem = divmod(-(w[0] * w[1] + w[2] * w[3]), p)
+    assume(rem == 0 and math.gcd(p, q, *w) == 1)
+    u = w[:2 * plane] + ([q, p] if swap else [p, q]) + w[2 * plane:]
+    # symbol columns drawn from u^⊥, which contains u itself
+    perp = orthogonal_sublattice(T4, [u]).basis
+    columns = [
+        [sum(c * b[i] for c, b in zip(coeffs[5 * j:5 * j + 5], perp)) for i in range(6)]
+        for j in range(symbols)
+    ]
+    y = from_columns((UNIT, SQRT2, SQRT3)[:symbols], columns)
+    assert _outcome(is_u_orthoirrational, u, y) == _outcome(
+        reference_is_u_orthoirrational, u, y
+    )
 
 
 def test_find_isotropic_orthogonal():
