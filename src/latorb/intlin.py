@@ -7,7 +7,7 @@ layer: canonical Hermite forms, integer kernels, exact inertia, and
 rational elimination.
 
 Elimination is done one way each: over Q by the single Fraction
-Gauss–Jordan routine `_rref` (rank and inverse), and over Z by
+Gauss–Jordan routine `_rref` (rank), and over Z by
 `row_hnf` (Hermite form, kernel, unimodular inverse, saturation).  Beside
 them sit the fraction-free `det_bareiss` and one symmetric congruence
 reduction `_congruence_diagonal`, read by `signature` (the signs of its
@@ -91,17 +91,6 @@ def _rref(rows, ncols):
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(col)
     return a, pivots
-
-
-def rational_inverse(a):
-    """Inverse over Q of a square matrix, by one elimination of [a | I]."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    m, pivots = _rref([list(row) + e for row, e in zip(a, identity(n))], n)
-    if len(pivots) < n:
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in m]
 
 
 def integer_inverse(a):

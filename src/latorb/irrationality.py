@@ -133,23 +133,22 @@ def symbolic_inner(L: QuadLattice, y: SymbolicRealVector, v):
     return [sum(c * x for c, x in zip(col, gv)) for col in y.columns()]
 
 
-def _constraint_rows(L, y):
-    """One integer row per symbol, cutting out the exact orthogonal lattice."""
-    rows = []
+def _scaled_columns(y):
+    """Per symbol column c, (den, den·c) with den the lcm of the
+    denominators of c, so den·c is an integer vector."""
+    out = []
     for col in y.columns():
-        row = intlin.mat_vec(L.gram, col)  # the gram matrix is symmetric
-        den = 1
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        rows.append([int(x * den) for x in row])
-    return rows
+        den = math.lcm(*(x.denominator for x in col))
+        out.append((den, [int(x * den) for x in col]))
+    return out
 
 
 def rational_constraint_lattice(L: QuadLattice, y: SymbolicRealVector) -> Sublattice:
     """Exact sublattice of lattice vectors pairing to zero with every symbol."""
     if y.rank != L.rank:
         raise DimensionMismatch("vector length must match the lattice")
-    rows = [r for r in _constraint_rows(L, y) if any(r)]
+    rows = [intlin.mat_vec(L.gram, c) for _, c in _scaled_columns(y)]
+    rows = [r for r in rows if any(r)]
     if not rows:
         return Sublattice(intlin.identity(L.rank))
     return Sublattice(intlin.kernel_basis(rows))
@@ -170,14 +169,14 @@ def certified_norm_sign(L: QuadLattice, y: SymbolicRealVector):
     """
     if y.rank != L.rank:
         raise DimensionMismatch("vector length must match the lattice")
-    cols = y.columns()
-    pair = [
-        [
-            sum(a * b for a, b in zip(intlin.mat_vec(L.gram, cs), ct))
-            for ct in cols
-        ]
-        for cs in cols
-    ]
+    scaled = _scaled_columns(y)
+    pair = []
+    for ds, cs in scaled:
+        gs = intlin.mat_vec(L.gram, cs)  # once per symbol, in integers
+        pair.append([
+            Fraction(sum(a * b for a, b in zip(gs, ct)), ds * dt)
+            for dt, ct in scaled
+        ])
     if all(q == 0 for row in pair for q in row):
         return 0
     total = _IV.mpf(0)
@@ -198,6 +197,11 @@ def certified_norm_sign(L: QuadLattice, y: SymbolicRealVector):
     )
 
 
+def _rank_test(u, y: SymbolicRealVector) -> bool:
+    """rank_Q{u, c_j} ≥ 3 over the symbol columns c_j of y ⊥ u."""
+    return intlin.rational_rank([u, *y.columns()]) >= 3
+
+
 def is_u_orthoirrational(L: QuadLattice, u, y: SymbolicRealVector) -> bool:
     """Does y avoid every real plane through u and a lattice point of u^⊥?
 
@@ -211,51 +215,90 @@ def is_u_orthoirrational(L: QuadLattice, u, y: SymbolicRealVector) -> bool:
         raise NotOrthogonal("y must pair to zero with u at every symbol")
     if certified_norm_sign(L, y) < 0:
         raise NotPositiveNorm("y must have positive norm")
-    u = _check_split(L, u)
-    return intlin.rational_rank([u, *y.columns()]) >= 3
+    return _rank_test(_check_split(L, u), y)
+
+
+def _integer_roots(a, b, c, lo, hi):
+    """Integers x in [lo, hi] with a·x² + 2b·x + c = 0, increasing."""
+    if a == 0:
+        if b == 0:
+            return range(lo, hi + 1) if c == 0 else ()
+        roots = [-c // (2 * b)] if c % (2 * b) == 0 else []
+    else:
+        disc = b * b - a * c
+        if disc < 0:
+            return ()
+        s = math.isqrt(disc)
+        if s * s != disc:
+            return ()
+        roots = sorted({(t - b) // a for t in (-s, s) if (t - b) % a == 0})
+    return [x for x in roots if lo <= x <= hi]
+
+
+def _isotropic_walk(L: QuadLattice, basis, height):
+    """Primitive isotropic v = Σ c_j·basis[j] with |v_i| ≤ height, one per
+    ±pair, in lexicographic order.
+
+    basis must be in row echelon form with positive pivots, as an HNF is.
+    Level j picks c_j; the coordinates from pivot p_j up to p_{j+1} then
+    depend on c_1..c_j alone, so c_j runs over the integers keeping v[p_j]
+    in range and a node is dropped as soon as one of its fixed coordinates
+    leaves it.  v[p_j] increases with c_j, so the depth-first order is
+    lexicographic, and the first nonzero c_j positive picks the
+    representative whose leading entry is positive.  At the last level
+    Q(w + c·b_k) is a quadratic in c, solved exactly from the Gram of the
+    basis and the running pairings (w, b_i).
+    """
+    n, k = L.rank, len(basis)
+    height = math.floor(height)  # integer coordinates: |v_i| ≤ ⌊height⌋
+    pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
+    ends = pivots[1:] + [n]
+    gram = [
+        [sum(a * b for a, b in zip(gb, bj)) for bj in basis]
+        for gb in (intlin.mat_vec(L.gram, bi) for bi in basis)
+    ]
+
+    def level(j, v, pair, q, started):
+        b, p = basis[j], pivots[j]
+        lo, hi = -((height + v[p]) // b[p]), (height - v[p]) // b[p]
+        if not started:
+            lo = max(lo, 0)
+        last = j == k - 1
+        cs = _integer_roots(gram[j][j], pair[j], q, lo, hi) if last else range(lo, hi + 1)
+        for c in cs:
+            w = v[:p] + [x + c * y for x, y in zip(v[p:], b[p:])]
+            if any(abs(x) > height for x in w[p + 1:ends[j]]):
+                continue
+            if not last:
+                yield from level(
+                    j + 1,
+                    w,
+                    [x + c * y for x, y in zip(pair, gram[j])],
+                    q + c * (2 * pair[j] + c * gram[j][j]),
+                    started or c != 0,
+                )
+            elif intlin.vector_gcd(w) == 1:  # also drops the zero vector
+                yield tuple(w)
+
+    if k:
+        yield from level(0, [0] * n, [0] * k, 0, False)
 
 
 def find_isotropic_orthogonal(L: QuadLattice, y: SymbolicRealVector, height):
     """All primitive isotropic lattice vectors ⊥ y up to the given height.
 
-    Exhaustive within the bound: enumerates coordinates over the exact
-    orthogonal sublattice inside a box large enough to cover every vector
-    of the requested height (bounds from an exact pseudo-inverse), then
-    filters.  One representative per ±pair, in lexicographic order.
+    Exhaustive within the bound: a depth-first walk over the coefficients
+    of the echelon (Hermite) basis of the exact orthogonal sublattice.
+    Each level's coefficient runs over the exact interval that keeps the
+    coordinate at its pivot within the height, and a branch is cut as soon
+    as a coordinate it fixes leaves the height; the last coefficient is
+    the integer root of a quadratic, so only isotropic vectors come out.
+    One representative per ±pair (leading entry positive), produced in
+    lexicographic order.
     """
     if height < 1:
         return []
-    constraint = rational_constraint_lattice(L, y)
-    k = constraint.rank
-    if k == 0:
-        return []
-    basis = constraint.basis
-    bt = intlin.transpose(basis)  # columns are the basis vectors
-    gramk = intlin.mat_mul(basis, bt)
-    ginv = intlin.rational_inverse(gramk)
-    pseudo = intlin.mat_mul([[Fraction(x) for x in row] for row in bt], ginv)
-    bounds = []
-    for j in range(k):
-        colsum = sum(abs(pseudo[i][j]) for i in range(L.rank))
-        bounds.append(int(height * colsum))
-    out = []
-    for c in itertools.product(*[range(-b, b + 1) for b in bounds]):
-        if all(x == 0 for x in c):
-            continue
-        v = [sum(ci * bi[i] for ci, bi in zip(c, basis)) for i in range(L.rank)]
-        if max(abs(x) for x in v) > height:
-            continue
-        lead = next(x for x in v if x != 0)
-        if lead < 0:
-            continue  # keep one representative per ±pair
-        if intlin.vector_gcd(v) != 1:
-            continue
-        gv = intlin.mat_vec(L.gram, v)
-        if sum(a * b for a, b in zip(gv, v)) != 0:
-            continue
-        out.append(tuple(v))
-    out.sort()
-    return out
+    return list(_isotropic_walk(L, rational_constraint_lattice(L, y).basis, height))
 
 
 @dataclass(frozen=True)
@@ -287,16 +330,26 @@ def certify_orthoisotropic_irrational(
     testing each found u individually: a failure refutes with that
     witness, while universal success stays Inconclusive because only
     finitely many u were examined.
+
+    The search is the lexicographic walk of `find_isotropic_orthogonal`,
+    consumed lazily: steps 1 and 2 stop at its first vector, and step 3
+    at the first u that fails, so the verdict and witness are those of
+    the full sorted list.  Every u the walk yields is isotropic, primitive
+    and ⊥ y, and y's norm is checked once up front, so step 3 checks the
+    hyperbolic split once and then runs only the rank test of
+    `is_u_orthoirrational` per u.
     """
     if certified_norm_sign(L, y) < 0:
         raise NotPositiveNorm("y must have positive norm")
     perp = rational_constraint_lattice(L, y)
-    found = find_isotropic_orthogonal(L, y, height)
-    if not found:
+    walk = _isotropic_walk(L, perp.basis, height)
+    first = next(walk, None)
+    if first is None:
         return IrrationalityCertificate(INCONCLUSIVE, None, perp.rank, height)
     if perp.rank <= L.rank - 3:
-        return IrrationalityCertificate(CERTIFIED, found[0], perp.rank, height)
-    for u in found:
-        if not is_u_orthoirrational(L, u, y):
+        return IrrationalityCertificate(CERTIFIED, first, perp.rank, height)
+    _check_split(L, first)
+    for u in itertools.chain([first], walk):
+        if not _rank_test(u, y):
             return IrrationalityCertificate(REFUTED, u, perp.rank, height)
     return IrrationalityCertificate(INCONCLUSIVE, None, perp.rank, height)

@@ -8,6 +8,7 @@ calculus, and constructive hyperbolic splitting off an isotropic vector.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from . import intlin
@@ -42,8 +43,12 @@ class QuadLattice:
             for j in range(i):
                 if g[i][j] != g[j][i]:
                     raise ValueError("gram matrix must be symmetric")
-        if n and intlin.det_bareiss(g) == 0:
+        if self.det == 0:
             raise DegenerateGram("gram matrix is degenerate")
+
+    @cached_property
+    def det(self) -> int:
+        return intlin.det_bareiss(self.gram)
 
     @property
     def rank(self) -> int:
@@ -92,7 +97,7 @@ def gram_column(L: QuadLattice, v) -> list:
 
 
 def determinant(L: QuadLattice) -> int:
-    return intlin.det_bareiss(L.gram)
+    return L.det
 
 
 def signature(L: QuadLattice) -> Signature:

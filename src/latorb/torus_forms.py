@@ -28,6 +28,10 @@ from .lattice_core import QuadLattice, Sublattice
 DET_TOL = 1e-10
 VANISH_TOL = 1e-12
 LLL_DELTA = 0.99
+# Bound on the loop steps of one `_lll` call.  The seeded solver targets
+# at n = 2 and 3 take at most 1140, so reaching it means the loop does not
+# terminate, not that the input is large.
+LLL_MAX_STEPS = 200_000
 
 
 def _as_float_matrix(m):
@@ -242,8 +246,13 @@ def _lll(rows):
 
     for i in range(min(k, 2)):
         gso_row(i)
-    i = 1
+    i, steps = 1, 0
     while i < k:
+        steps += 1
+        if steps > LLL_MAX_STEPS:
+            raise DidNotConverge(
+                f"lattice reduction did not finish in {LLL_MAX_STEPS} steps"
+            )
         for j in range(i - 1, -1, -1):
             q = round(mu[i][j])
             if q != 0:

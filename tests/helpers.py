@@ -1,5 +1,6 @@
 """Shared builders for the test suite."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,10 +11,16 @@ from sympy.matrices.normalforms import invariant_factors
 from latorb import intlin
 from latorb.errors import DegenerateGram, NotOrthogonal, NotPositiveNorm
 from latorb.irrationality import (
+    CERTIFIED,
+    INCONCLUSIVE,
+    REFUTED,
     UNIT,
+    IrrationalityCertificate,
     Symbol,
     certified_norm_sign,
     from_columns,
+    is_u_orthoirrational,
+    rational_constraint_lattice,
     symbolic_inner,
 )
 from latorb.lattice_core import (
@@ -246,6 +253,71 @@ def reference_is_u_orthoirrational(L, u, y):
             raise AssertionError("projection left a component along z")
         projected.append(coords[2:])
     return intlin.rational_rank(projected) >= 2
+
+
+def _rational_inverse(a):
+    """Inverse over Q of a square integer matrix, by sympy."""
+    inv = sympy.Matrix(a).inv()
+    return [[Fraction(int(x.p), int(x.q)) for x in inv.row(i)] for i in range(inv.rows)]
+
+
+def reference_find_isotropic_orthogonal(L, y, height):
+    """`find_isotropic_orthogonal` as a walk over a full coordinate box, as
+    it was before it became a pruned echelon walk: every coefficient vector
+    inside bounds from an exact pseudo-inverse of the constraint basis is
+    expanded and filtered, then the survivors are sorted.  The oracle for
+    the pruned walk."""
+    if height < 1:
+        return []
+    constraint = rational_constraint_lattice(L, y)
+    k = constraint.rank
+    if k == 0:
+        return []
+    basis = constraint.basis
+    bt = intlin.transpose(basis)  # columns are the basis vectors
+    gramk = intlin.mat_mul(basis, bt)
+    ginv = _rational_inverse(gramk)
+    pseudo = intlin.mat_mul([[Fraction(x) for x in row] for row in bt], ginv)
+    bounds = []
+    for j in range(k):
+        colsum = sum(abs(pseudo[i][j]) for i in range(L.rank))
+        bounds.append(int(height * colsum))
+    out = []
+    for c in itertools.product(*[range(-b, b + 1) for b in bounds]):
+        if all(x == 0 for x in c):
+            continue
+        v = [sum(ci * bi[i] for ci, bi in zip(c, basis)) for i in range(L.rank)]
+        if max(abs(x) for x in v) > height:
+            continue
+        lead = next(x for x in v if x != 0)
+        if lead < 0:
+            continue  # keep one representative per ±pair
+        if intlin.vector_gcd(v) != 1:
+            continue
+        gv = intlin.mat_vec(L.gram, v)
+        if sum(a * b for a, b in zip(gv, v)) != 0:
+            continue
+        out.append(tuple(v))
+    out.sort()
+    return out
+
+
+def reference_certify(L, y, height):
+    """`certify_orthoisotropic_irrational` as it was before it consumed the
+    walk lazily: the whole search first, then the public per-u test on
+    each found vector."""
+    if certified_norm_sign(L, y) < 0:
+        raise NotPositiveNorm("y must have positive norm")
+    perp = rational_constraint_lattice(L, y)
+    found = reference_find_isotropic_orthogonal(L, y, height)
+    if not found:
+        return IrrationalityCertificate(INCONCLUSIVE, None, perp.rank, height)
+    if perp.rank <= L.rank - 3:
+        return IrrationalityCertificate(CERTIFIED, found[0], perp.rank, height)
+    for u in found:
+        if not is_u_orthoirrational(L, u, y):
+            return IrrationalityCertificate(REFUTED, u, perp.rank, height)
+    return IrrationalityCertificate(INCONCLUSIVE, None, perp.rank, height)
 
 
 def spans_saturated(rows):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import latorb
+from helpers import engineered_k3_vector
 from latorb import intlin, jsonio
 from latorb.cli import main
 
@@ -397,3 +398,21 @@ def test_map_isotropic_readme_example_stdout(capsys):
         "[0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0], "
         "[0, 0, 0, 0, 0, 1]]}\n"
     )
+
+
+K3_IRR_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "irr_k3_cli_golden.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "case", K3_IRR_GOLDEN["cases"], ids=lambda c: f"{c['args'][1]}-h{c['args'][-1]}"
+)
+def test_irr_verbs_on_k3_match_the_golden(capsys, case):
+    # stdout of find-isotropic and certify on the engineered K3 class, as
+    # recorded from the full coordinate-box search
+    y = K3_IRR_GOLDEN["y"]
+    assert jsonio.symbolic_from_json(y) == engineered_k3_vector()[1]
+    code, out, err = run(capsys, *case["args"], "--y", json.dumps(y))
+    assert code == 0, err
+    assert out == case["stdout"]

@@ -1,6 +1,5 @@
 import json
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -143,16 +142,10 @@ def test_kernel_basis_properties():
 
 def test_rational_solve_and_inverse():
     with pytest.raises(ValueError):
-        intlin.rational_inverse([[1, 2], [2, 4]])
-    inv = intlin.rational_inverse([[2, 1], [1, 1]])
-    assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
-    with pytest.raises(ValueError):
         intlin.integer_inverse([[2, 0], [0, 1]])
     # non-square input is rejected, not truncated
     with pytest.raises(ValueError):
         intlin.integer_inverse([[1, 2, 3]])
-    with pytest.raises(ValueError):
-        intlin.rational_inverse([[1, 2], [3, 4], [5, 6]])
     assert intlin.integer_inverse([]) == []
     rng = random.Random(7)
     for _ in range(30):

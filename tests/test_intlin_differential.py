@@ -93,17 +93,6 @@ def test_det_bareiss_matches_sympy(m):
 
 @DRAWN
 @given(square_matrices(st.integers(-2, 2)))
-def test_rational_solve_and_inverse_match_sympy(a):
-    s = sympy.Matrix(a)
-    if s.det() == 0:
-        with pytest.raises(ValueError):
-            intlin.rational_inverse(a)
-        return
-    assert intlin.rational_inverse(a) == as_fractions(s.inv())
-
-
-@DRAWN
-@given(square_matrices(st.integers(-2, 2)))
 def test_integer_inverse_rejects_exactly_the_non_unimodular(a):
     s = sympy.Matrix(a)
     if abs(s.det()) == 1:
@@ -128,8 +117,6 @@ def test_integer_inverse_matches_sympy(w):
 def test_non_square_input_is_rejected(m):
     with pytest.raises(ValueError):
         intlin.integer_inverse(m)
-    with pytest.raises(ValueError):
-        intlin.rational_inverse(m)
 
 
 @DRAWN

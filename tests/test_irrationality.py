@@ -6,7 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import engineered_k3_vector, reference_is_u_orthoirrational
+from helpers import (
+    engineered_k3_vector,
+    reference_certify,
+    reference_find_isotropic_orthogonal,
+    reference_is_u_orthoirrational,
+)
 from latorb import intlin, irrationality
 from latorb.errors import (
     DimensionMismatch,
@@ -40,7 +45,9 @@ from latorb.irrationality import (
 from latorb.isometries import compose, gu_lattice_generators, identity_isometry
 from latorb.lattice_core import (
     QuadLattice,
+    direct_sum,
     gram_column,
+    hyperbolic,
     inner,
     is_isotropic,
     orthogonal_sublattice,
@@ -236,6 +243,95 @@ def test_find_isotropic_orthogonal_vs_brute_force():
         for h in (1, 2):
             assert find_isotropic_orthogonal(T4, y, h) == \
                 brute_force_isotropic_orthogonal(T4, y, h)
+
+
+@st.composite
+def lattice_classes(draw):
+    """A nondegenerate lattice of rank 2-6 and a class with 1-3 symbols.
+
+    Half are U^k in a random basis (even unimodular, so the per-u rank
+    test runs); half are random symmetric Grams, mostly not unimodular.
+    Sparse rational symbol columns leave isotropic vectors in y^⊥ and make
+    constraint rows whose kernel's Hermite basis has pivots above 1.
+    """
+    if draw(st.booleans()):
+        planes = draw(st.integers(1, 3))
+        n = 2 * planes
+        w = intlin.identity(n)
+        for _ in range(draw(st.integers(0, 6))):
+            i, j = draw(st.permutations(range(n)))[:2]
+            c = draw(st.integers(-2, 2))
+            w[i] = [a + c * b for a, b in zip(w[i], w[j])]
+        g = direct_sum(*[hyperbolic()] * planes).gram
+        gram = intlin.mat_mul(intlin.mat_mul(intlin.transpose(w), g), w)
+    else:
+        n = draw(st.integers(2, 6))
+        size = n * (n + 1) // 2
+        vals = iter(draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size)))
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                gram[i][j] = gram[j][i] = next(vals)
+        assume(intlin.det_bareiss(gram) != 0)
+    symbols = draw(st.integers(1, 3))
+    columns = [
+        [Fraction(a, b) for a, b in draw(st.lists(
+            st.tuples(st.just(0) | st.integers(-3, 3), st.integers(1, 3)),
+            min_size=n, max_size=n,
+        ))]
+        for _ in range(symbols)
+    ]
+    return QuadLattice(gram), from_columns((UNIT, SQRT2, SQRT3)[:symbols], columns)
+
+
+def _certify_outcome(certify, L, y, height):
+    try:
+        return certify(L, y, height)
+    except DomainError as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_classes(), st.integers(0, 3))
+def test_walk_and_certificate_match_the_box_walk(case, height):
+    L, y = case
+    assert find_isotropic_orthogonal(L, y, height) == \
+        reference_find_isotropic_orthogonal(L, y, height)
+    assert _certify_outcome(certify_orthoisotropic_irrational, L, y, height) == \
+        _certify_outcome(reference_certify, L, y, height)
+
+
+def test_find_isotropic_orthogonal_pinned_on_k3():
+    K3, y = engineered_k3_vector()
+    e3 = tuple(int(i == 3) for i in range(22))
+    for height, count in ((2, 1432), (3, 6320)):
+        found = find_isotropic_orthogonal(K3, y, height)
+        assert len(found) == count
+        assert found[0] == e3
+        assert all(a < b for a, b in zip(found, found[1:]))
+
+
+def test_certify_stops_at_its_first_answer(monkeypatch):
+    # the first vector of the walk refutes, so the rank test runs once and
+    # the walk is not drawn from again
+    y = rational_vector((0, 0, 1, 1, 0, 0))
+    expected = reference_certify(T4, y, 3)
+    tested, drawn = [], []
+    rank_test, walk = irrationality._rank_test, irrationality._isotropic_walk
+
+    def counted_walk(*args):
+        for u in walk(*args):
+            drawn.append(u)
+            yield u
+
+    monkeypatch.setattr(
+        irrationality, "_rank_test", lambda u, y: tested.append(u) or rank_test(u, y)
+    )
+    monkeypatch.setattr(irrationality, "_isotropic_walk", counted_walk)
+    cert = certify_orthoisotropic_irrational(T4, y, 3)
+    assert cert == expected
+    assert cert.verdict == REFUTED
+    assert tested == drawn == [cert.witness_u]
 
 
 def test_membership_in_constraint_lattice():

@@ -70,6 +70,24 @@ def test_quadlattice_validation():
     assert L.rank == 2
 
 
+def test_quadlattice_keeps_its_determinant(monkeypatch):
+    L = k3_model()
+    u = (1,) + (0,) * 21
+    calls = []
+    real = intlin.det_bareiss
+    monkeypatch.setattr(
+        intlin, "det_bareiss", lambda m: calls.append(m) or real(m)
+    )
+    split_hyperbolic(L, u)
+    assert calls == []  # the constructor's determinant is reused
+    assert determinant(L) == -1 and is_unimodular(L)
+    # the kept value is not a field: equality and hashing read the Gram only
+    fresh = k3_model()
+    assert L == fresh and hash(L) == hash(fresh) and repr(L) == repr(fresh)
+    assert L != t4_model()
+    assert len({L, fresh, t4_model()}) == 2
+
+
 def test_sublattice_validation():
     with pytest.raises(ValueError):
         Sublattice(((1, 0), (2, 0)))  # dependent rows

@@ -268,6 +268,17 @@ def test_solver_validates_tolerances():
             tf.approx_by_split_orbit(f, 1e-2, bad)
 
 
+def test_solver_raises_when_lattice_reduction_does_not_finish(monkeypatch):
+    # with the step bound lowered below what one reduction needs, the
+    # solver stops with DidNotConverge instead of looping
+    f = tf.SplitBlockForm(
+        np.eye(2), np.array([[0.0, 0.7613], [-0.7613, 0.0]])
+    )
+    monkeypatch.setattr(tf, "LLL_MAX_STEPS", 2)
+    with pytest.raises(DidNotConverge, match="lattice reduction"):
+        tf.approx_by_split_orbit(f, 1e-2, 0.1)
+
+
 def test_solver_output_is_self_consistent():
     f = tf.SplitBlockForm(
         np.eye(2), np.array([[0.0, 0.7613], [-0.7613, 0.0]])
