@@ -39,10 +39,6 @@ def mat_vec(m, v):
     return [sum(x * y for x, y in zip(row, v)) for row in m]
 
 
-def mat_eq(a, b):
-    return len(a) == len(b) and all(list(ra) == list(rb) for ra, rb in zip(a, b))
-
-
 def det_bareiss(m):
     """Determinant of a square integer matrix, fraction-free."""
     n = len(m)

@@ -118,13 +118,6 @@ def transform(g, y: SymbolicRealVector) -> SymbolicRealVector:
     return from_columns(y.symbols, new_cols)
 
 
-def scale(y: SymbolicRealVector, factor) -> SymbolicRealVector:
-    f = Fraction(factor)
-    return SymbolicRealVector(
-        y.symbols, tuple(tuple(f * x for x in row) for row in y.coeffs)
-    )
-
-
 def symbolic_inner(L: QuadLattice, y: SymbolicRealVector, v):
     """Per-symbol rational coefficients of the pairing (y, v)."""
     if y.rank != L.rank or len(v) != L.rank:
@@ -147,7 +140,7 @@ def rational_constraint_lattice(L: QuadLattice, y: SymbolicRealVector) -> Sublat
     """Exact sublattice of lattice vectors pairing to zero with every symbol."""
     if y.rank != L.rank:
         raise DimensionMismatch("vector length must match the lattice")
-    rows = [intlin.mat_vec(L.gram, c) for _, c in _scaled_columns(y)]
+    rows = [gram_column(L, c) for _, c in _scaled_columns(y)]
     rows = [r for r in rows if any(r)]
     if not rows:
         return Sublattice(intlin.identity(L.rank))
@@ -172,7 +165,7 @@ def certified_norm_sign(L: QuadLattice, y: SymbolicRealVector):
     scaled = _scaled_columns(y)
     pair = []
     for ds, cs in scaled:
-        gs = intlin.mat_vec(L.gram, cs)  # once per symbol, in integers
+        gs = gram_column(L, cs)  # once per symbol, in integers
         pair.append([
             Fraction(sum(a * b for a, b in zip(gs, ct)), ds * dt)
             for dt, ct in scaled
@@ -255,7 +248,7 @@ def _isotropic_walk(L: QuadLattice, basis, height):
     ends = pivots[1:] + [n]
     gram = [
         [sum(a * b for a, b in zip(gb, bj)) for bj in basis]
-        for gb in (intlin.mat_vec(L.gram, bi) for bi in basis)
+        for gb in (gram_column(L, bi) for bi in basis)
     ]
 
     def level(j, v, pair, q, started):

@@ -4,8 +4,7 @@ Eichler transvections, identity-component membership, stabilizer-shape
 predicates, and a constructive reduction mapping any primitive isotropic
 vector to any other (two orthogonal hyperbolic planes are required, as in
 the rank-6 and rank-22 models).  Everything is exact; the maps built
-here are words in transvections, and `reflection` builds a single
-reflection on request.
+here are words in transvections.
 """
 
 from dataclasses import dataclass
@@ -22,8 +21,8 @@ from .errors import (
 )
 from .lattice_core import (
     QuadLattice,
+    _dot,
     gram_column,
-    inner,
     is_even,
     is_isotropic,
     is_primitive,
@@ -45,11 +44,15 @@ class Isometry:
         n = self.lattice.rank
         if len(m) != n or any(len(row) != n for row in m):
             raise DimensionMismatch("matrix does not match the lattice rank")
-        g = self.lattice.gram
-        mtg = intlin.mat_mul(intlin.transpose(m), g)
-        # MᵀGM = G with det G ≠ 0 already forces det M = ±1
-        if not intlin.mat_eq(intlin.mat_mul(mtg, m), g):
-            raise ValueError("matrix does not preserve the bilinear form")
+        # MᵀGM = G with det G ≠ 0 already forces det M = ±1.  Both sides
+        # are symmetric, so the upper triangle decides: entry (i, k) is
+        # column i of M against column k of G·M.
+        cols = list(zip(*m))
+        gcols = [gram_column(self.lattice, c) for c in cols]
+        for i, c in enumerate(cols):
+            for k in range(i, n):
+                if _dot(c, gcols[k]) != self.lattice.gram[i][k]:
+                    raise ValueError("matrix does not preserve the bilinear form")
 
     @cached_property
     def det(self):
@@ -82,6 +85,8 @@ def _transvect(L: QuadLattice, e, a, ge, ga, xs):
 
     ge and ga are gram_column(L, e) and gram_column(L, a).  Needs (e,e) = 0,
     (e,a) = 0 and an even lattice, so the correction term is integral.
+    Pairings and updates read only the nonzero entries of ge, ga, e and a,
+    and a vector with (x,e) = 0 and zero correction comes back unchanged.
     """
     if not is_even(L):
         raise ValueError("transvections need an even lattice")
@@ -90,16 +95,25 @@ def _transvect(L: QuadLattice, e, a, ge, ga, xs):
     if _dot(ge, a) != 0:
         raise ValueError("a must pair to zero with e")
     half_aa = _dot(ga, a) // 2
+    ge, ga, e, a = ([(i, x) for i, x in enumerate(w) if x] for w in (ge, ga, e, a))
     out = []
     for x in xs:
-        xe = _dot(ge, x)
-        c = _dot(ga, x) + half_aa * xe
-        out.append([xi + xe * ai - c * ei for xi, ai, ei in zip(x, a, e)])
+        xe = 0
+        for i, g in ge:
+            xe += g * x[i]
+        c = half_aa * xe
+        for i, g in ga:
+            c += g * x[i]
+        if xe == 0 and c == 0:
+            out.append(x)
+            continue
+        y = list(x)
+        for i, ai in a:
+            y[i] += xe * ai
+        for i, ei in e:
+            y[i] -= c * ei
+        out.append(y)
     return out
-
-
-def _dot(v, w):
-    return sum(x * y for x, y in zip(v, w))
 
 
 def eichler_transvection(L: QuadLattice, e, a) -> Isometry:
@@ -140,42 +154,22 @@ def is_in_so_plus(g: Isometry) -> bool:
     return intlin.det_bareiss([[_dot(gp, c) for c in columns] for gp in images]) > 0
 
 
-def reflection(L: QuadLattice, a) -> Isometry:
-    """x ↦ x − 2(x,a)/(a,a) · a; integral whenever (a,a) divides 2(x,a)."""
-    a = list(a)
-    aa = inner(L, a, a)
-    if aa == 0:
-        raise NotIsotropic("cannot reflect in an isotropic vector")
-    ga = gram_column(L, a)
-    n = L.rank
-    cols = []
-    for j in range(n):
-        col = [0] * n
-        col[j] = 1
-        for i in range(n):
-            num = 2 * ga[j] * a[i]
-            if num % aa != 0:
-                raise ValueError("reflection is not integral at this vector")
-            col[i] -= num // aa
-        cols.append(col)
-    return Isometry(tuple(zip(*cols)), L)
-
-
 class _Frame:
     """Two orthogonal hyperbolic planes (e1,f1), (e2,f2) plus the remainder.
 
     The column matrix [e1 f1 e2 f2 | rest] is a basis of the lattice.  The
     planes are orthogonal to each other and to rest, so the coordinate of
     e1 is the pairing with f1 and so on; partners holds the Gram columns
-    of f1, e1, f2, e2 for those pairings.
+    of f1, e1, f2, e2 for those pairings, and rest_columns those of rest.
     """
 
-    __slots__ = ("e1", "f1", "e2", "f2", "rest", "partners")
+    __slots__ = ("e1", "f1", "e2", "f2", "rest", "partners", "rest_columns")
 
     def __init__(self, L, e1, f1, e2, f2, rest):
         self.e1, self.f1, self.e2, self.f2 = e1, f1, e2, f2
         self.rest = rest
         self.partners = [gram_column(L, v) for v in (f1, e1, f2, e2)]
+        self.rest_columns = [gram_column(L, r) for r in rest]
 
 
 @lru_cache(maxsize=None)
@@ -255,7 +249,7 @@ class _Reduction:
         self.r_up(1)
 
     def rest_pairings(self):
-        return [inner(self.L, self.t, r) for r in self.fr.rest]
+        return [_dot(g, self.t) for g in self.fr.rest_columns]
 
     def rest_combination(self, coeffs):
         n = self.L.rank

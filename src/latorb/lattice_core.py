@@ -1,7 +1,10 @@
 """Integral quadratic lattices with exact Gram algebra.
 
 A lattice is held as its Gram matrix; vectors are integer coordinate tuples
-in the implied basis.  Everything is exact — no floats.  Provides the
+in the implied basis.  Everything is exact — no floats.  Every integer
+pairing goes through `gram_column`, which reads only the cached
+`QuadLattice.gram_rows`, the nonzero (j, g_ij) of each Gram row (50 of
+484 entries on the rank-22 model).  Provides the
 standard even unimodular models (hyperbolic plane, negated E8, and the two
 rank-6/rank-22 direct sums used throughout), Hermite-based sublattice
 calculus, and constructive hyperbolic splitting off an isotropic vector.
@@ -9,6 +12,7 @@ calculus, and constructive hyperbolic splitting off an isotropic vector.
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Iterable, NamedTuple
 
 from . import intlin
@@ -50,6 +54,11 @@ class QuadLattice:
     def det(self) -> int:
         return intlin.det_bareiss(self.gram)
 
+    @cached_property
+    def gram_rows(self) -> tuple:
+        """Nonzero entries of each Gram row, as (j, g_ij) pairs."""
+        return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.gram)
+
     @property
     def rank(self) -> int:
         return len(self.gram)
@@ -86,14 +95,22 @@ def _check_vec(L: QuadLattice, v) -> list:
 
 def inner(L: QuadLattice, v, w) -> int:
     """Exact pairing v·gram·w."""
-    v, w = _check_vec(L, v), _check_vec(L, w)
-    gw = intlin.mat_vec(L.gram, w)
-    return sum(a * b for a, b in zip(v, gw))
+    return _dot(_check_vec(L, v), gram_column(L, w))
 
 
 def gram_column(L: QuadLattice, v) -> list:
-    """Pairings of v against the basis vectors, i.e. gram·v."""
-    return intlin.mat_vec(L.gram, _check_vec(L, v))
+    """Pairings of v against the basis vectors, i.e. gram·v: by symmetry,
+    v_j times the nonzero entries of row j, summed over the nonzero v_j."""
+    out = [0] * L.rank
+    for j, vj in enumerate(_check_vec(L, v)):
+        if vj:
+            for i, x in L.gram_rows[j]:
+                out[i] += x * vj
+    return out
+
+
+def _dot(v, w) -> int:
+    return sum(map(mul, v, w))
 
 
 def determinant(L: QuadLattice) -> int:
@@ -125,14 +142,6 @@ def is_isotropic(L: QuadLattice, v) -> bool:
 
 def height(v) -> int:
     return max(abs(int(x)) for x in v) if len(v) else 0
-
-
-def divisor(L: QuadLattice, u) -> int:
-    """Positive generator of the pairing ideal {(u, x) : x in the lattice}."""
-    u = _check_vec(L, u)
-    if not any(u):
-        raise ValueError("zero vector has no divisor")
-    return intlin.vector_gcd(gram_column(L, u))
 
 
 def direct_sum(*lattices: QuadLattice) -> QuadLattice:
@@ -182,7 +191,8 @@ def k3_model() -> QuadLattice:
 
 def sublattice_gram(L: QuadLattice, S: Sublattice) -> tuple:
     """Gram matrix of the form restricted to S's basis."""
-    return tuple(tuple(inner(L, v, w) for w in S.basis) for v in S.basis)
+    columns = [gram_column(L, w) for w in S.basis]
+    return tuple(tuple(_dot(v, c) for c in columns) for v in S.basis)
 
 
 def orthogonal_sublattice(L: QuadLattice, vectors: Iterable) -> Sublattice:

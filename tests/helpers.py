@@ -9,7 +9,7 @@ import sympy
 from sympy.matrices.normalforms import invariant_factors
 
 from latorb import intlin
-from latorb.errors import DegenerateGram, NotOrthogonal, NotPositiveNorm
+from latorb.errors import DegenerateGram, NotIsotropic, NotOrthogonal, NotPositiveNorm
 from latorb.irrationality import (
     CERTIFIED,
     INCONCLUSIVE,
@@ -17,13 +17,16 @@ from latorb.irrationality import (
     UNIT,
     IrrationalityCertificate,
     Symbol,
+    SymbolicRealVector,
     certified_norm_sign,
     from_columns,
     is_u_orthoirrational,
     rational_constraint_lattice,
     symbolic_inner,
 )
+from latorb.isometries import Isometry
 from latorb.lattice_core import (
+    QuadLattice,
     Sublattice,
     gram_column,
     inner,
@@ -361,3 +364,35 @@ def standard_complement(n) -> Sublattice:
         r[2 * k] = 1
         rows.append(tuple(r))
     return Sublattice(tuple(rows))
+
+
+def mat_eq(a, b):
+    return len(a) == len(b) and all(list(ra) == list(rb) for ra, rb in zip(a, b))
+
+
+def reflection(L: QuadLattice, a) -> Isometry:
+    """x ↦ x − 2(x,a)/(a,a) · a; integral whenever (a,a) divides 2(x,a)."""
+    a = list(a)
+    aa = inner(L, a, a)
+    if aa == 0:
+        raise NotIsotropic("cannot reflect in an isotropic vector")
+    ga = gram_column(L, a)
+    n = L.rank
+    cols = []
+    for j in range(n):
+        col = [0] * n
+        col[j] = 1
+        for i in range(n):
+            num = 2 * ga[j] * a[i]
+            if num % aa != 0:
+                raise ValueError("reflection is not integral at this vector")
+            col[i] -= num // aa
+        cols.append(col)
+    return Isometry(tuple(zip(*cols)), L)
+
+
+def scale(y: SymbolicRealVector, factor) -> SymbolicRealVector:
+    f = Fraction(factor)
+    return SymbolicRealVector(
+        y.symbols, tuple(tuple(f * x for x in row) for row in y.coeffs)
+    )

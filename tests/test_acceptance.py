@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from helpers import engineered_k3_vector, random_primitive_isotropic
+from helpers import engineered_k3_vector, mat_eq, random_primitive_isotropic
 from latorb import intlin
 import latorb.orbit_explorer as oe
 import latorb.torus_forms as tf
@@ -376,9 +376,9 @@ def test_criterion_08_exterior_square_bridge():
         w12 = tf.wedge_square_action(intlin.mat_mul(g1, g2))
         lhs = [list(r) for r in w12.matrix]
         rhs = intlin.mat_mul([list(r) for r in w1.matrix], [list(r) for r in w2.matrix])
-        assert intlin.mat_eq(lhs, rhs)
+        assert mat_eq(lhs, rhs)
         m = [list(r) for r in w1.matrix]
-        assert intlin.mat_eq(
+        assert mat_eq(
             intlin.mat_mul(intlin.mat_mul(intlin.transpose(m), gram), m), gram
         )
     # reordering the wedge coordinates as three two-dimensional pairings
@@ -394,7 +394,7 @@ def test_criterion_08_exterior_square_bridge():
     changed = intlin.mat_mul(
         intlin.mat_mul(base_change, gram), intlin.transpose(base_change)
     )
-    assert intlin.mat_eq(changed, [list(r) for r in T4.gram])
+    assert mat_eq(changed, [list(r) for r in T4.gram])
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
     print(f"criterion 8 ok in {elapsed:.2f}s")

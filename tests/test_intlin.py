@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import spans_saturated
+from helpers import mat_eq, spans_saturated
 from latorb import intlin
 from latorb.cli import MODELS
 from latorb.errors import DegenerateGram
@@ -80,7 +80,7 @@ def test_xgcd_vector():
 
 def test_row_hnf_canonical_shape():
     h, u = intlin.row_hnf([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    assert intlin.mat_eq(intlin.mat_mul(u, [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]), h)
+    assert mat_eq(intlin.mat_mul(u, [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]), h)
     assert abs(intlin.det_bareiss(u)) == 1
     # cross-checked against an independent normal-form implementation
     assert h == [[2, 0, 120], [0, 2, 20], [0, 0, 156]]
@@ -93,7 +93,7 @@ def test_row_hnf_properties():
         cols = rng.randint(1, 5)
         m = random_matrix(rng, rows, cols)
         h, u = intlin.row_hnf(m)
-        assert intlin.mat_eq(intlin.mat_mul(u, m), h)
+        assert mat_eq(intlin.mat_mul(u, m), h)
         assert abs(intlin.det_bareiss(u)) == 1
         # zero rows trail, pivots positive, entries above pivots reduced
         nonzero = [r for r in h if any(r)]
@@ -152,7 +152,7 @@ def test_rational_solve_and_inverse():
         n = rng.randint(1, 5)
         w = random_unimodular(rng, n)
         winv = intlin.integer_inverse(w)
-        assert intlin.mat_eq(intlin.mat_mul(w, winv), intlin.identity(n))
+        assert mat_eq(intlin.mat_mul(w, winv), intlin.identity(n))
 
 
 def test_rational_rank():

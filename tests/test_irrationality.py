@@ -11,6 +11,7 @@ from helpers import (
     reference_certify,
     reference_find_isotropic_orthogonal,
     reference_is_u_orthoirrational,
+    scale,
 )
 from latorb import intlin, irrationality
 from latorb.errors import (
@@ -38,7 +39,6 @@ from latorb.irrationality import (
     is_u_orthoirrational,
     rational_constraint_lattice,
     rational_vector,
-    scale,
     symbolic_inner,
     transform,
 )

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from latorb import intlin, isometries
+from helpers import mat_eq, reflection
+from latorb import intlin, isometries, lattice_core
 from latorb.errors import (
     NoHyperbolicSplit,
     NotIsotropic,
@@ -25,7 +26,6 @@ from latorb.isometries import (
     is_in_ky,
     is_in_so_plus,
     map_isotropic,
-    reflection,
 )
 from latorb.lattice_core import (
     QuadLattice,
@@ -37,6 +37,8 @@ from latorb.lattice_core import (
     is_isotropic,
     is_primitive,
     k3_model,
+    split_hyperbolic,
+    sublattice_gram,
     t4_model,
 )
 
@@ -120,7 +122,7 @@ def test_transvection_properties():
             g = random_transvection(rng, L)
             m = [list(r) for r in g.matrix]
             mt = intlin.transpose(m)
-            assert intlin.mat_eq(intlin.mat_mul(intlin.mat_mul(mt, gram), m), gram)
+            assert mat_eq(intlin.mat_mul(intlin.mat_mul(mt, gram), m), gram)
             assert g.det == 1
             n = L.rank
             mi = [[m[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
@@ -149,6 +151,38 @@ def test_isometry_validation():
         Isometry(((1, 0, 0), (0, 1, 0), (0, 0, 1)), hyperbolic())
 
 
+def test_isometry_rejects_every_unit_perturbation_of_a_k3_map():
+    # the check compares one triangle of MᵀGM = G, yet a change to any
+    # entry of M, above or below the diagonal, still fails it
+    rng = random.Random(62)
+    g = map_isotropic(K3, random_primitive_isotropic(rng, K3), random_primitive_isotropic(rng, K3))
+    n = K3.rank
+    for i in range(n):
+        for j in range(n):
+            for d in (1, -1):
+                m = [list(r) for r in g.matrix]
+                m[i][j] += d
+                with pytest.raises(ValueError):
+                    Isometry(m, K3)
+
+
+def test_isometry_check_and_sublattice_gram_read_the_sparse_gram(monkeypatch):
+    rng = random.Random(63)
+    u = random_primitive_isotropic(rng, K3)
+    g = map_isotropic(K3, u, random_primitive_isotropic(rng, K3))
+    _, comp = split_hyperbolic(K3, u)
+    expected = sublattice_gram(K3, comp)
+    calls = []
+    for module, name in ((intlin, "mat_mul"), (intlin, "mat_vec"), (lattice_core, "inner")):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
+        )
+    assert Isometry(g.matrix, K3) == g
+    assert sublattice_gram(K3, comp) == expected
+    assert calls == []  # both read the Gram through gram_column only
+
+
 def test_so_plus_examples():
     U = hyperbolic()
     assert is_in_so_plus(identity_isometry(U))
@@ -174,18 +208,6 @@ def test_so_plus_multiplicative():
         g = rng.choice(pool)
         h = rng.choice(pool)
         assert is_in_so_plus(compose(g, h)) == (is_in_so_plus(g) == is_in_so_plus(h))
-
-
-def test_reflection_basics():
-    r = reflection(T4, (1, 1, 0, 0, 0, 0))
-    assert r.det == -1
-    assert apply(r, (1, 1, 0, 0, 0, 0)) == (-1, -1, 0, 0, 0, 0)
-    assert compose(r, r).matrix == identity_isometry(T4).matrix
-    with pytest.raises(NotIsotropic):
-        reflection(T4, (1, 0, 0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        # norm 6 vector in diag(2,4): 2(x,a)/(a,a) leaves the integers
-        reflection(QuadLattice(((2, 0), (0, 4))), (1, 1))
 
 
 def test_map_isotropic_identity_case():

@@ -17,7 +17,6 @@ from latorb.lattice_core import (
     Sublattice,
     determinant,
     direct_sum,
-    divisor,
     e8_minus,
     extend_to_unimodular_basis,
     gram_column,
@@ -145,11 +144,6 @@ def test_primitivity_and_divisor():
     assert not is_primitive(U, (2, 4))
     with pytest.raises(ValueError):
         is_primitive(U, (0, 0))
-    assert divisor(U, (1, 0)) == 1
-    assert divisor(U, (2, 2)) == 2
-    assert divisor(span4(), (1,)) == 4  # primitive vector, divisor > 1
-    with pytest.raises(ValueError):
-        divisor(U, (0, 0))
 
 
 def test_direct_sum_blocks():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_primitive_isotropic, reference_is_in_so_plus
+from helpers import random_primitive_isotropic, reference_is_in_so_plus, reflection
 from latorb import intlin
 from latorb.isometries import (
     Isometry,
@@ -18,7 +18,6 @@ from latorb.isometries import (
     invert,
     is_in_so_plus,
     map_isotropic,
-    reflection,
 )
 from latorb.lattice_core import hyperbolic, k3_model, t4_model
 
