@@ -10,9 +10,8 @@ import json
 import re
 import sys
 
-import numpy as np
-
-from . import irrationality, jsonio, orbit_explorer, torus_forms
+# torus_forms and orbit_explorer load numpy, so only their verbs import them.
+from . import irrationality, jsonio
 from .errors import DomainError
 from .isometries import (
     eichler_transvection,
@@ -201,9 +200,10 @@ def _cmd_irr_find_isotropic(args):
 
 
 def _split_form_from_json(data):
+    from . import torus_forms
     return torus_forms.SplitBlockForm(
-        np.array(jsonio.float_matrix_from_json(data["C"])),
-        np.array(jsonio.float_matrix_from_json(data["D"])),
+        jsonio.float_matrix_from_json(data["C"]),
+        jsonio.float_matrix_from_json(data["D"]),
     )
 
 
@@ -215,8 +215,9 @@ def _split_form_to_json(f):
 
 
 def _cmd_torus_blocks(args):
+    from . import torus_forms
     omega = torus_forms.LinearSymplecticForm(
-        np.array(jsonio.float_matrix_from_json(_load_json(args.omega)))
+        jsonio.float_matrix_from_json(_load_json(args.omega))
     )
     l = jsonio.sublattice_from_json(_load_json(args.l))
     lprime = jsonio.sublattice_from_json(_load_json(args.lprime))
@@ -224,6 +225,7 @@ def _cmd_torus_blocks(args):
 
 
 def _cmd_torus_act(args):
+    from . import torus_forms
     f = _split_form_from_json(_load_json(args.form))
     data = _load_json(args.shear)
     shear = torus_forms.IntegralShear(
@@ -234,6 +236,7 @@ def _cmd_torus_act(args):
 
 
 def _cmd_torus_approx(args):
+    from . import torus_forms
     f = _split_form_from_json(_load_json(args.target))
     res = torus_forms.approx_by_split_orbit(
         f, args.eps, args.delta, budget=args.budget, seed=args.seed
@@ -249,11 +252,13 @@ def _cmd_torus_approx(args):
 
 
 def _cmd_torus_wedge(args):
+    from . import torus_forms
     g = jsonio.decode_matrix(_load_json(args.g))
     _emit(jsonio.isometry_to_json(torus_forms.wedge_square_action(g)))
 
 
 def _cmd_explore(args):
+    from . import orbit_explorer
     L = _lattice_of(args)
     u = _vector(args.u)
     y0 = orbit_explorer.HyperboloidPoint(
@@ -263,8 +268,9 @@ def _cmd_explore(args):
         orbit_explorer.HyperboloidPoint(tuple(float(x) for x in t))
         for t in _load_json(args.targets)
     ]
+    tol = orbit_explorer.DEDUP_TOL if args.dedup_tol is None else args.dedup_tol
     records = orbit_explorer.explore(
-        L, u, y0, targets, args.depth, seed=args.seed, dedup_tol=args.dedup_tol
+        L, u, y0, targets, args.depth, seed=args.seed, dedup_tol=tol
     )
     if args.format == "csv":
         sys.stdout.write(orbit_explorer.records_to_csv(records))
@@ -393,7 +399,8 @@ def build_parser():
     p.add_argument("--targets", required=True, help="JSON list of float vectors")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dedup-tol", type=float, default=orbit_explorer.DEDUP_TOL)
+    # None stands for orbit_explorer.DEDUP_TOL, read by _cmd_explore
+    p.add_argument("--dedup-tol", type=float)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_explore)
 

@@ -11,12 +11,11 @@ a lattice point, and a three-step certificate combining both with a
 bounded isotropic search.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import mpmath
 
 from . import intlin
 from .errors import (
@@ -30,8 +29,17 @@ from .lattice_core import QuadLattice, Sublattice, _check_split, gram_column
 # Interval evaluation runs in a private mpmath context at a fixed working
 # precision (bits), so it never reads or changes the global mpmath.iv.
 INTERVAL_PRECISION = 128
-_IV = mpmath.ctx_iv.MPIntervalContext()
-_IV.prec = INTERVAL_PRECISION
+
+
+@functools.cache
+def _interval_context():
+    # built at the first evaluation: importing mpmath costs more than most
+    # callers of this module spend in it
+    import mpmath
+
+    iv = mpmath.ctx_iv.MPIntervalContext()
+    iv.prec = INTERVAL_PRECISION
+    return iv
 
 INDEPENDENCE_ASSUMPTION = (
     "assumes the non-unit symbols are Q-linearly independent together with 1"
@@ -147,10 +155,6 @@ def rational_constraint_lattice(L: QuadLattice, y: SymbolicRealVector) -> Sublat
     return Sublattice(intlin.kernel_basis(rows))
 
 
-def _interval_from_fraction(x: Fraction):
-    return _IV.mpf(x.numerator) / _IV.mpf(x.denominator)
-
-
 def certified_norm_sign(L: QuadLattice, y: SymbolicRealVector):
     """Sign of (y,y) under the symbol approximations, by interval arithmetic.
 
@@ -172,15 +176,17 @@ def certified_norm_sign(L: QuadLattice, y: SymbolicRealVector):
         ])
     if all(q == 0 for row in pair for q in row):
         return 0
-    total = _IV.mpf(0)
+    iv = _interval_context()
+    total = iv.mpf(0)
     vals = [
-        _IV.mpf(1) if s == UNIT else _IV.mpf(s.approx)
+        iv.mpf(1) if s == UNIT else iv.mpf(s.approx)
         for s in y.symbols
     ]
     for s, row in enumerate(pair):
         for t, q in enumerate(row):
             if q != 0:
-                total += _interval_from_fraction(q) * vals[s] * vals[t]
+                qi = iv.mpf(q.numerator) / iv.mpf(q.denominator)
+                total += qi * vals[s] * vals[t]
     if total.a > 0:
         return 1
     if total.b < 0:

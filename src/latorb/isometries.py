@@ -80,20 +80,15 @@ def invert(g: Isometry) -> Isometry:
     return Isometry(intlin.integer_inverse(g.matrix), g.lattice)
 
 
-def _transvect(L: QuadLattice, e, a, ge, ga, xs):
+def _transvect(e, a, ge, ga, xs):
     """Images of the vectors xs under x ↦ x + (x,e)a − (x,a)e − ½(a,a)(x,e)e.
 
-    ge and ga are gram_column(L, e) and gram_column(L, a).  Needs (e,e) = 0,
-    (e,a) = 0 and an even lattice, so the correction term is integral.
-    Pairings and updates read only the nonzero entries of ge, ga, e and a,
-    and a vector with (x,e) = 0 and zero correction comes back unchanged.
+    ge and ga are the Gram columns of e and a.  The caller guarantees
+    (e,e) = 0, (e,a) = 0 and an even lattice, so the correction term is
+    integral.  Pairings and updates read only the nonzero entries of ge,
+    ga, e and a, and a vector with (x,e) = 0 and zero correction comes
+    back unchanged.
     """
-    if not is_even(L):
-        raise ValueError("transvections need an even lattice")
-    if _dot(ge, e) != 0:
-        raise NotIsotropic("e must be isotropic")
-    if _dot(ge, a) != 0:
-        raise ValueError("a must pair to zero with e")
     half_aa = _dot(ga, a) // 2
     ge, ga, e, a = ([(i, x) for i, x in enumerate(w) if x] for w in (ge, ga, e, a))
     out = []
@@ -123,7 +118,13 @@ def eichler_transvection(L: QuadLattice, e, a) -> Isometry:
     is integral.  Fixes e; inverse is the transvection at (e, −a).
     """
     ge, ga = gram_column(L, e), gram_column(L, a)
-    cols = _transvect(L, e, a, ge, ga, intlin.identity(L.rank))
+    if not is_even(L):
+        raise ValueError("transvections need an even lattice")
+    if _dot(ge, e) != 0:
+        raise NotIsotropic("e must be isotropic")
+    if _dot(ge, a) != 0:
+        raise ValueError("a must pair to zero with e")
+    cols = _transvect(e, a, ge, ga, intlin.identity(L.rank))
     return Isometry(intlin.transpose(cols), L)
 
 
@@ -206,7 +207,9 @@ def _hyperbolic_frame(L: QuadLattice) -> _Frame:
 class _Reduction:
     """Accumulates a word of transvections driving a vector to frame.e1.
 
-    The word is a list of (e, a) pairs, applied first to last.
+    The word is a list of (e, a, ge, ga) steps, applied first to last, with
+    ge and ga the Gram columns of e and a.  Every e is a frame vector and
+    every a pairs to zero with it, so a step needs no precondition check.
     """
 
     def __init__(self, L, frame, t):
@@ -220,9 +223,9 @@ class _Reduction:
         return tuple(_dot(g, self.t) for g in self.fr.partners)
 
     def emit(self, e, a):
-        ge, ga = gram_column(self.L, e), gram_column(self.L, a)
-        self.t = _transvect(self.L, e, a, ge, ga, [self.t])[0]
-        self.word.append((e, a))
+        step = (e, a, gram_column(self.L, e), gram_column(self.L, a))
+        self.t = _transvect(*step, [self.t])[0]
+        self.word.append(step)
 
     # The four elementary moves act on the 2×2 coefficient matrix
     # M = [[α, −γ], [δ, β]] of t over (e1, f1) × (e2, f2):
@@ -332,8 +335,9 @@ def map_isotropic(L: QuadLattice, u, v) -> Isometry:
     vector by words in Eichler transvections; the result is the second
     word's inverse composed with the first, applied to the identity
     columns and validated once.  The inverse of a word is the reversed
-    word with every a negated.  Transvections are unipotent, so the word
-    lies in the identity component; the check below is a tripwire.
+    word with every a negated, and with it the Gram column of a, which is
+    linear in a.  Transvections are unipotent, so the word lies in the
+    identity component; the check below is a tripwire.
     """
     for t in (u, v):
         if len(t) != L.rank:
@@ -343,12 +347,17 @@ def map_isotropic(L: QuadLattice, u, v) -> Isometry:
         if not is_primitive(L, t):
             raise NotPrimitive("endpoints must be primitive")
     frame = _hyperbolic_frame(L)
+    if not is_even(L):
+        raise ValueError("transvections need an even lattice")
     word_u = _Reduction(L, frame, u).run()
     word_v = _Reduction(L, frame, v).run()
-    word = word_u + [(e, [-x for x in a]) for e, a in reversed(word_v)]
+    word = word_u + [
+        (e, [-x for x in a], ge, [-x for x in ga])
+        for e, a, ge, ga in reversed(word_v)
+    ]
     cols = intlin.identity(L.rank)
-    for e, a in word:
-        cols = _transvect(L, e, a, gram_column(L, e), gram_column(L, a), cols)
+    for step in word:
+        cols = _transvect(*step, cols)
     g = Isometry(intlin.transpose(cols), L)
     if apply(g, u) != tuple(v):
         raise AssertionError("transvection word does not carry u to v")

@@ -2,12 +2,17 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import sympy
 from sympy.matrices.normalforms import invariant_factors
 
+import latorb
 from latorb import intlin
 from latorb.errors import DegenerateGram, NotIsotropic, NotOrthogonal, NotPositiveNorm
 from latorb.irrationality import (
@@ -34,6 +39,19 @@ from latorb.lattice_core import (
     split_hyperbolic,
 )
 from latorb.torus_forms import IntegralShear, LinearSymplecticForm
+
+
+def run_python(*args):
+    """A fresh interpreter with the package on its path, so the run sees
+    no module state of this one, and an input it cannot finish on fails
+    with TimeoutExpired instead of hanging the suite."""
+    src = str(Path(latorb.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 def random_primitive_isotropic(rng, L, height_cap=5):

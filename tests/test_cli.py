@@ -1,13 +1,9 @@
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import latorb
-from helpers import engineered_k3_vector
+from helpers import engineered_k3_vector, run_python
 from latorb import intlin, jsonio
 from latorb.cli import main
 
@@ -43,15 +39,7 @@ def run_json(capsys, *argv):
 
 
 def run_process(*argv):
-    """The CLI in its own process, so an input it cannot finish on fails
-    with TimeoutExpired instead of hanging the suite."""
-    src = str(Path(latorb.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "latorb.cli", *argv],
-        capture_output=True, text=True, timeout=30,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    return run_python("-m", "latorb.cli", *argv)
 
 
 def test_lattice_info_models(capsys):
@@ -416,3 +404,51 @@ def test_irr_verbs_on_k3_match_the_golden(capsys, case):
     code, out, err = run(capsys, *case["args"], "--y", json.dumps(y))
     assert code == 0, err
     assert out == case["stdout"]
+
+
+EXACT_VERBS = [
+    ["lattice", "info", "--model", "k3"],
+    ["lattice", "inner", "--model", "t4", "--v", T4_U, "--w", "[0,1,0,0,0,0]"],
+    ["lattice", "split", "--model", "t4", "--u", T4_U],
+    ["lattice", "ortho", "--model", "t4", "--vectors", "[" + T4_U + "]"],
+    ["lattice", "saturate", "--model", "t4", "--basis", "[[2,0,0,0,0,0]]"],
+    ["lattice", "extend", "--basis", "[[0,1,3],[2,-2,-1]]"],
+    ["isom", "transvect", "--model", "t4", "--e", T4_U, "--a", "[0,0,1,0,0,0]"],
+    ["isom", "map-isotropic", "--model", "t4", "--u", T4_U, "--v", "[0,1,0,0,0,0]"],
+    ["isom", "check", "--model", "t4", "--g", json.dumps(intlin.identity(6)),
+     "--u", T4_U, "--y", SYMBOLIC_Y],
+    ["isom", "generators", "--model", "t4", "--u", T4_U],
+    ["irr", "find-isotropic", "--model", "t4", "--y", SYMBOLIC_Y, "--height", "2"],
+]
+NORM_SIGN_VERBS = [
+    ["irr", "check-u", "--model", "t4", "--u", T4_U, "--y", SYMBOLIC_Y],
+    ["irr", "certify", "--model", "t4", "--y", SYMBOLIC_Y, "--height", "1"],
+]
+
+# Runs each verb given as JSON in turn and prints, per verb, its exit code
+# and whether numpy and mpmath are loaded after it.
+_LOADED_AFTER_EACH_VERB = """
+import contextlib, io, json, sys
+from latorb.cli import main
+out = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    out.append([argv[:2], code, "numpy" in sys.modules, "mpmath" in sys.modules])
+print(json.dumps(out))
+"""
+
+
+def test_each_verb_loads_only_the_packages_it_uses():
+    # numpy is for the torus and explore verbs alone, and mpmath for a
+    # norm-sign evaluation: the exact verbs load neither
+    done = run_python("-c", "import sys, latorb.cli; "
+                      "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+    verbs = EXACT_VERBS + NORM_SIGN_VERBS
+    done = run_python("-c", _LOADED_AFTER_EACH_VERB, json.dumps(verbs))
+    assert done.returncode == 0, done.stderr
+    expected = [[argv[:2], 0, False, False] for argv in EXACT_VERBS]
+    expected += [[argv[:2], 0, False, True] for argv in NORM_SIGN_VERBS]
+    assert json.loads(done.stdout) == expected

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from helpers import (
     reference_certify,
     reference_find_isotropic_orthogonal,
     reference_is_u_orthoirrational,
+    run_python,
     scale,
 )
 from latorb import intlin, irrationality
@@ -140,11 +142,30 @@ def test_interval_evaluation_does_not_use_the_global_context(monkeypatch):
     ys = positive + [rational_vector((1, -1, 0, 0, 0, 0))]
     signs = [certified_norm_sign(T4, y) for y in ys]
     certs = [certify_orthoisotropic_irrational(T4, y, 1) for y in positive]
-    monkeypatch.setattr(irrationality.mpmath, "iv", None)
+    monkeypatch.setattr(mpmath, "iv", None)
     assert [certified_norm_sign(T4, y) for y in ys] == signs
     assert [certify_orthoisotropic_irrational(T4, y, 1) for y in positive] == certs
     with pytest.raises(PrecisionError):
         certified_norm_sign(T4, cancel)
+
+
+def test_interval_context_built_on_first_use_is_private_and_128_bit():
+    # In a fresh interpreter the global interval precision drops to 20
+    # bits before the first evaluation.  y = -x2 + s·(x2 + y2) with
+    # s ≈ 1 + 1e-10 has norm 2s(s − 1) ≈ 2e-10: its interval straddles
+    # zero at 20 bits and is positive at 128.
+    code = """
+import mpmath
+mpmath.iv.prec = 20
+from latorb.irrationality import UNIT, Symbol, certified_norm_sign, from_columns
+from latorb.lattice_core import t4_model
+s = Symbol("s", 1.0000000001)
+y = from_columns((UNIT, s), [[0, 0, -1, 0, 0, 0], [0, 0, 1, 1, 0, 0]])
+print(certified_norm_sign(t4_model(), y), mpmath.iv.prec)
+"""
+    done = run_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1 20\n"
 
 
 def test_is_u_orthoirrational_examples():

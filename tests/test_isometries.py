@@ -368,6 +368,26 @@ def test_map_isotropic_takes_one_determinant_of_its_result(monkeypatch):
     assert calls.count(g.matrix) == 1
 
 
+def test_map_isotropic_checks_evenness_once(monkeypatch):
+    # the word's steps are built from the frame and need no per-step
+    # precondition checks; evenness of the lattice is checked once per map
+    rng = random.Random(62)
+    calls = []
+    real = isometries.is_even
+
+    def counting(L):
+        calls.append(L)
+        return real(L)
+
+    monkeypatch.setattr(isometries, "is_even", counting)
+    for _ in range(3):
+        u = random_primitive_isotropic(rng, K3)
+        v = random_primitive_isotropic(rng, K3)
+        calls.clear()
+        assert apply(map_isotropic(K3, u, v), u) == v
+        assert calls == [K3]
+
+
 def test_isometry_equality_and_hash_ignore_cached_det():
     g = eichler_transvection(T4, X1, (0, 0, 1, 0, 0, 0))
     h = Isometry(g.matrix, T4)
