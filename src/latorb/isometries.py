@@ -366,29 +366,9 @@ def map_isotropic(L: QuadLattice, u, v) -> Isometry:
     return g
 
 
-def _vector_matches(g, y):
-    """Exact g(y) = y for integer vectors or symbolic real vectors."""
-    if hasattr(y, "coeffs"):
-        for col in _symbol_columns(y):
-            if intlin.mat_vec(g.matrix, col) != col:
-                return False
-        return True
-    y = list(y)
-    return intlin.mat_vec(g.matrix, y) == y
-
-
-def _symbol_columns(y):
-    return [list(col) for col in zip(*y.coeffs)]
-
-
-def _difference_in_span(g, y, u):
-    """g(y) − y ∈ Span{u}, checked per symbol for symbolic vectors."""
-    cols = _symbol_columns(y) if hasattr(y, "coeffs") else [y]
-    for col in cols:
-        diff = [a - b for a, b in zip(intlin.mat_vec(g.matrix, col), col)]
-        if not _is_multiple(diff, u):
-            return False
-    return True
+def _columns(y):
+    """Exact columns of y: one per symbol, or y itself if it is a vector."""
+    return y.columns() if hasattr(y, "columns") else [list(y)]
 
 
 def _is_multiple(vec, u):
@@ -415,7 +395,9 @@ def is_in_gu(g: Isometry, u) -> bool:
 
 def is_in_hy(g: Isometry, u, y) -> bool:
     """Simultaneous stabilizer of u and of y (y may carry symbols)."""
-    return is_in_gu(g, u) and _vector_matches(g, y)
+    return is_in_gu(g, u) and all(
+        intlin.mat_vec(g.matrix, c) == c for c in _columns(y)
+    )
 
 
 def is_in_ky(g: Isometry, u, y) -> bool:
@@ -424,7 +406,10 @@ def is_in_ky(g: Isometry, u, y) -> bool:
     Membership forces setwise preservation of y^⊥ ∩ u^⊥: for x there,
     (gx, u) = (x, u) = 0 and (gx, y) = (x, g⁻¹y) = (x, y ∓ cu) = 0.
     """
-    return is_in_gu(g, u) and _difference_in_span(g, y, u)
+    return is_in_gu(g, u) and all(
+        _is_multiple([a - b for a, b in zip(intlin.mat_vec(g.matrix, c), c)], u)
+        for c in _columns(y)
+    )
 
 
 def gu_lattice_generators(L: QuadLattice, u):

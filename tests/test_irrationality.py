@@ -332,27 +332,49 @@ def test_find_isotropic_orthogonal_pinned_on_k3():
         assert all(a < b for a, b in zip(found, found[1:]))
 
 
+# y = (x2 + y2) + sqrt2 * x1: norm 2, symbol columns of rank 2, radical span(x1)
+Y_RADICAL = from_columns((UNIT, SQRT2), [[0, 0, 1, 1, 0, 0], X1])
+
+
 def test_certify_stops_at_its_first_answer(monkeypatch):
-    # the first vector of the walk refutes, so the rank test runs once and
-    # the walk is not drawn from again
-    y = rational_vector((0, 0, 1, 1, 0, 0))
-    expected = reference_certify(T4, y, 3)
-    tested, drawn = [], []
-    rank_test, walk = irrationality._rank_test, irrationality._isotropic_walk
+    # step 3 is decided by algebra: no per-u rank test runs, and each walk
+    # is drawn from once.  The rational class (rank 1) is refuted by the
+    # first vector of the walk over y^⊥; the rank-2 class takes one vector
+    # from that walk and its witness from the radical's walk.
+    classes = ((rational_vector((0, 0, 1, 1, 0, 0)), 1), (Y_RADICAL, 2))
+    expected = [reference_certify(T4, y, 3) for y, _ in classes]
+    drawn = []
+    walk = irrationality._isotropic_walk
 
     def counted_walk(*args):
+        drawn.append([])
         for u in walk(*args):
-            drawn.append(u)
+            drawn[-1].append(u)
             yield u
 
-    monkeypatch.setattr(
-        irrationality, "_rank_test", lambda u, y: tested.append(u) or rank_test(u, y)
-    )
+    def no_rank_test(m):
+        raise AssertionError("certify ran a rational rank test")
+
     monkeypatch.setattr(irrationality, "_isotropic_walk", counted_walk)
-    cert = certify_orthoisotropic_irrational(T4, y, 3)
-    assert cert == expected
-    assert cert.verdict == REFUTED
-    assert tested == drawn == [cert.witness_u]
+    monkeypatch.setattr(intlin, "rational_rank", no_rank_test)
+    for (y, walks), want in zip(classes, expected):
+        drawn.clear()
+        cert = certify_orthoisotropic_irrational(T4, y, 3)
+        assert cert == want
+        assert cert.verdict == REFUTED
+        assert [len(d) for d in drawn] == [1] * walks
+        assert drawn[-1] == [cert.witness_u]
+
+
+def test_certify_witness_is_the_first_failing_vector_not_the_first_found():
+    for height, position in ((1, 9), (2, 13)):
+        found = find_isotropic_orthogonal(T4, Y_RADICAL, height)
+        assert found.index(X1) == position - 1
+        cert = certify_orthoisotropic_irrational(T4, Y_RADICAL, height)
+        assert cert == reference_certify(T4, Y_RADICAL, height)
+        assert cert.verdict == REFUTED
+        assert cert.witness_u == X1
+        assert cert.perp_rank == 4
 
 
 def test_membership_in_constraint_lattice():

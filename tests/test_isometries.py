@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 from collections import deque
 from pathlib import Path
@@ -13,6 +14,7 @@ from latorb.errors import (
     NotIsotropic,
     NotPrimitive,
 )
+from latorb.irrationality import UNIT, Symbol, from_columns
 from latorb.isometries import (
     Isometry,
     apply,
@@ -285,6 +287,15 @@ def test_stabilizer_predicates():
     assert not is_in_hy(g, u, y)
     h = eichler_transvection(T4, u, (0, 0, 0, 0, 1, 0))  # pairs to 0 with y
     assert is_in_hy(h, u, y)
+    # y = x2 + sqrt2 * y2, checked per symbol column: g moves the sqrt2
+    # column by 2u, h fixes both columns
+    ys = from_columns(
+        (UNIT, Symbol("sqrt2", math.sqrt(2))),
+        [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]],
+    )
+    assert is_in_ky(g, u, ys)
+    assert not is_in_hy(g, u, ys)
+    assert is_in_hy(h, u, ys) and is_in_ky(h, u, ys)
     ident = identity_isometry(T4)
     assert is_in_gu(ident, u) and is_in_hy(ident, u, y) and is_in_ky(ident, u, y)
     # something that moves u is in none of them
