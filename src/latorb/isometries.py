@@ -58,6 +58,15 @@ class Isometry:
     def det(self):
         return intlin.det_bareiss(self.matrix)
 
+    @cached_property
+    def so_plus(self):
+        """`is_in_so_plus`, evaluated once per isometry."""
+        if self.det != 1:
+            raise ValueError("orientation test requires determinant +1")
+        basis, columns = _positive_frame(self.lattice)
+        images = [intlin.mat_vec(self.matrix, p) for p in basis]
+        return intlin.det_bareiss([[_dot(gp, c) for c in columns] for gp in images]) > 0
+
 
 def identity_isometry(L: QuadLattice) -> Isometry:
     return Isometry(intlin.identity(L.rank), L)
@@ -146,13 +155,10 @@ def is_in_so_plus(g: Isometry) -> bool:
     sign of the determinant of g's projection onto Span P; rescaling P by
     positive factors keeps it, so P is taken integral and the determinant
     is an integer one (1 for an empty frame, 0 for a degenerate
-    projection).  Inputs of determinant −1 are rejected.
+    projection).  Inputs of determinant −1 are rejected.  The verdict is
+    kept on g, like its determinant.
     """
-    if g.det != 1:
-        raise ValueError("orientation test requires determinant +1")
-    basis, columns = _positive_frame(g.lattice)
-    images = [intlin.mat_vec(g.matrix, p) for p in basis]
-    return intlin.det_bareiss([[_dot(gp, c) for c in columns] for gp in images]) > 0
+    return g.so_plus
 
 
 class _Frame:

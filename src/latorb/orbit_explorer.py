@@ -142,8 +142,10 @@ def explore(
     rng = random.Random(seed)
 
     def keys_of(arr):
-        grid = np.round(arr / dedup_tol).astype(np.int64)
-        return [row.tobytes() for row in grid]
+        # one key per row: the row's slice of the grid's byte buffer
+        buf = np.round(arr / dedup_tol).astype(np.int64).tobytes()
+        width = 8 * arr.shape[1]  # int64 coordinates
+        return [buf[at : at + width] for at in range(0, len(buf), width)]
 
     visited = set()
     frontier = np.array([y0.coords], dtype=float)
@@ -175,24 +177,19 @@ def explore(
         stacked = np.concatenate(images, axis=0)
         keep = np.max(np.abs(stacked), axis=1) <= NORM_CAP
         stacked = stacked[keep]
-        fresh_rows = []
-        fresh_keys = set()
-        for row, key in zip(stacked, keys_of(stacked)):
-            if key in visited or key in fresh_keys:
-                continue
-            fresh_keys.add(key)
-            fresh_rows.append(row)
-        if len(fresh_rows) > FRONTIER_CAP:
-            idx = sorted(rng.sample(range(len(fresh_rows)), FRONTIER_CAP))
-            fresh_rows = [fresh_rows[i] for i in idx]
-        for row in fresh_rows:
-            visited.add(keys_of(np.array([row]))[0])
-            if point_sink is not None:
-                point_sink.append(tuple(row))
-        orbit_size += len(fresh_rows)
-        frontier = (
-            np.array(fresh_rows) if fresh_rows else np.empty((0, L.rank))
-        )
+        first = {}  # unvisited key -> index of its first image, in order
+        for idx, key in enumerate(keys_of(stacked)):
+            if key not in visited and key not in first:
+                first[key] = idx
+        fresh = list(first.items())
+        if len(fresh) > FRONTIER_CAP:
+            picked = sorted(rng.sample(range(len(fresh)), FRONTIER_CAP))
+            fresh = [fresh[i] for i in picked]
+        visited.update(key for key, _ in fresh)
+        frontier = stacked[[idx for _, idx in fresh]]
+        if point_sink is not None:
+            point_sink.extend(tuple(row) for row in frontier)
+        orbit_size += len(fresh)
     return records
 
 

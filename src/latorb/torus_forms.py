@@ -216,8 +216,10 @@ def act(g: IntegralShear, f: SplitBlockForm) -> SplitBlockForm:
 
 
 # ---------------------------------------------------------------------------
-# lattice reduction helpers (plain float LLL + Babai nearest plane); the
-# Gram–Schmidt data is kept row by row and equals a full recompute bit for bit
+# lattice reduction helpers (plain float LLL + Babai nearest plane).  `_lll`
+# keeps each row's Gram–Schmidt data as far as its inputs are unchanged and
+# computes only the rest, so every float it keeps, and so its output, equals
+# that of recomputing all of it after each change to the basis, bit for bit
 
 
 def _lll(rows):
@@ -225,9 +227,28 @@ def _lll(rows):
 
     Returns (reduced_rows, transform, star, norms): reduced = transform ·
     rows with transform integer unimodular, star the Gram–Schmidt vectors
-    of the reduced rows and norms[i] = ‖star[i]‖².  Row i of the
-    Gram–Schmidt data depends only on b[0..i] and is recomputed only when
-    one of those rows changes.
+    of the reduced rows and norms[i] = ‖star[i]‖².
+
+    Row i of the Gram–Schmidt data is μ_ij = (b_i·b*_j)/‖b*_j‖² for j < i
+    and the chain of partial vectors p_0 = b_i, p_{j+1} = p_j − μ_ij b*_j,
+    which ends in b*_i = p_i.  μ_ij and p_{j+1} read only b_i, b*_0..b*_j
+    and their norms, and the same float operations on the same inputs give
+    the same bits.  So a prefix of the row stays exact while those inputs
+    are unchanged: fresh[i] counts the leading μ entries of row i that are
+    current, every new b*_j cuts the rows above j to at most j, and
+    completing a row starts where its current prefix ends.
+
+    At the top of each loop rows 0..i−1 are current, and row i is
+    completed there.  Then:
+
+    - size reduction reads each μ_ij as the value the row would store: the
+      kept one until b_i first changes, then one product with the current
+      b_i.  Row i is recomputed once after the loop if b_i changed;
+    - a swap at i moves b_i down to i−1.  Its μ entries and partial
+      vectors against b*_0..b*_{i−2} are current, and its partial vector
+      p_{i−1} is the new b*_{i−1}.  The row moving up to i keeps its
+      entries against b*_0..b*_{i−2} and is completed at the top of the
+      loop the next time the walk is at index i.
     """
     b = [np.array(r, dtype=float) for r in rows]
     k = len(b)
@@ -235,17 +256,34 @@ def _lll(rows):
     star = [None] * k
     norms = [0.0] * k
     mu = [[0.0] * k for _ in range(k)]
+    # chain[i][:fresh[i] + 1] and mu[i][:fresh[i]] are current
+    chain = [[r.copy()] for r in b]
+    fresh = [0] * k
+
+    # for two vectors ndarray.dot is the kernel behind @, with less dispatch
+    def mu_of(i, j):
+        return float(b[i].dot(star[j])) / norms[j] if norms[j] else 0.0
+
+    def set_star(i):
+        star[i] = s = chain[i][i]
+        norms[i] = float(s.dot(s))
+        fresh[i] = i
+        for r in range(i + 1, k):
+            if fresh[r] > i:
+                fresh[r] = i
 
     def gso_row(i):
-        v = b[i].copy()
-        for j in range(i):
-            mu[i][j] = float(b[i] @ star[j]) / norms[j] if norms[j] else 0.0
+        partials = chain[i]
+        del partials[fresh[i] + 1 :]
+        v = partials[-1]
+        for j in range(fresh[i], i):
+            mu[i][j] = mu_of(i, j)
             v = v - mu[i][j] * star[j]
-        star[i] = v
-        norms[i] = float(v @ v)
+            partials.append(v)
+        set_star(i)
 
-    for i in range(min(k, 2)):
-        gso_row(i)
+    if k:
+        set_star(0)
     i, steps = 1, 0
     while i < k:
         steps += 1
@@ -253,21 +291,27 @@ def _lll(rows):
             raise DidNotConverge(
                 f"lattice reduction did not finish in {LLL_MAX_STEPS} steps"
             )
+        if fresh[i] < i:
+            gso_row(i)
+        changed = False
         for j in range(i - 1, -1, -1):
-            q = round(mu[i][j])
+            q = round(mu_of(i, j) if changed else mu[i][j])
             if q != 0:
                 b[i] = b[i] - q * b[j]
                 u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-                gso_row(i)
+                changed = True
+        if changed:
+            chain[i] = [b[i].copy()]
+            fresh[i] = 0
+            gso_row(i)
         if norms[i] >= (LLL_DELTA - mu[i][i - 1] ** 2) * norms[i - 1]:
             i += 1
-            if i < k:
-                gso_row(i)
         else:
             b[i], b[i - 1] = b[i - 1], b[i]
             u[i], u[i - 1] = u[i - 1], u[i]
-            gso_row(i - 1)
-            gso_row(i)
+            mu[i], mu[i - 1] = mu[i - 1], mu[i]
+            chain[i], chain[i - 1] = chain[i - 1], chain[i]
+            set_star(i - 1)
             i = max(i - 1, 1)
     return b, u, star, norms
 

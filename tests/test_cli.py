@@ -131,6 +131,32 @@ def test_transvection_then_check_round_trip(capsys):
     assert result == {"det": 1, "so_plus": True, "in_gu": True}
 
 
+def test_isom_check_projects_onto_the_positive_frame_once(capsys, monkeypatch):
+    # so_plus, in_gu, in_hy and in_ky share one SO⁺ verdict: the 2×2 and
+    # 6×6 determinants of the model and of g, plus one 3×3 projection
+    g = run_json(
+        capsys,
+        "isom", "transvect", "--model", "t4",
+        "--e", T4_U, "--a", "[0,0,0,1,0,0]",
+    )
+    sizes = []
+    real = intlin.det_bareiss
+
+    def counted(m):
+        sizes.append(len(m))
+        return real(m)
+
+    monkeypatch.setattr(intlin, "det_bareiss", counted)
+    result = run_json(
+        capsys,
+        "isom", "check", "--model", "t4",
+        "--g", json.dumps(g), "--u", T4_U, "--y", SYMBOLIC_Y,
+    )
+    assert result == {
+        "det": 1, "so_plus": True, "in_gu": True, "in_hy": False, "in_ky": True
+    }
+    assert sorted(sizes) == [2, 2, 2, 3, 6, 6]
+
 def test_map_isotropic_verb(capsys):
     g = run_json(
         capsys,

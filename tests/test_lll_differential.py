@@ -1,7 +1,9 @@
 """The row-by-row Gram–Schmidt bookkeeping in `_lll` against the
 recompute-everything reduction it replaced, which stays here as the oracle."""
 
+import inspect
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -107,3 +109,78 @@ def test_lll_matches_reference_on_genericity_embedding():
     for m in (c, np.eye(2)):
         rows = _relation_embedding(m)
         assert_matches_reference(rows, tf._lll(rows))
+
+
+# --- the lazy paths: each row's Gram–Schmidt data kept as far as it is
+# current, swaps that carry a row's prefix with it, recomputes skipped ---
+
+
+@st.composite
+def solver_shaped_bases(draw):
+    """k ≤ 9 rows in dimension ≤ 12, the shape of the n = 3 embedding,
+    with row scales spread over six decades."""
+    k = draw(st.integers(1, 9))
+    dim = draw(st.integers(k, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = 10.0 ** rng.uniform(-3, 3, size=(k, 1))
+    a = rng.standard_normal((k, dim)) * scales
+    assume(np.linalg.matrix_rank(a) == k and np.linalg.cond(a) < 1e6)
+    return list(a)
+
+
+@DRAWN
+@given(solver_shaped_bases())
+def test_lll_matches_reference_on_drawn_solver_shaped_bases(rows):
+    assert_matches_reference(rows, tf._lll(rows))
+
+
+def _traced_lll(rows):
+    """Runs `_lll` and returns its output with the index i of every swap,
+    read from its frame at the line that exchanges b[i − 1] and b[i]."""
+    lines, first = inspect.getsourcelines(tf._lll)
+    swap_line = first + next(
+        n for n, line in enumerate(lines) if "b[i], b[i - 1] = b[i - 1], b[i]" in line
+    )
+    code, swaps = tf._lll.__code__, []
+
+    def in_lll(frame, event, arg):
+        if event == "line" and frame.f_lineno == swap_line:
+            swaps.append(frame.f_locals["i"])
+        return in_lll
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_lll if frame.f_code is code else None)
+    try:
+        out = tf._lll(rows)
+    finally:
+        sys.settrace(previous)
+    return out, swaps
+
+
+def _longest_chain(swaps):
+    """Most swaps in a row at i, i − 1, i − 2, …: one row walking down."""
+    best = run = 0
+    for at, i in enumerate(swaps):
+        run = run + 1 if at and i == swaps[at - 1] - 1 else 1
+        best = max(best, run)
+    return best
+
+
+def test_lll_matches_reference_on_nearly_parallel_rows():
+    # integer multiples of one direction plus small noise: the reduction is
+    # a Euclid-like descent of swaps at i = 1 and of rows walking down
+    rng = np.random.default_rng(2024)
+    chains = []
+    for _ in range(40):
+        k = int(rng.integers(3, 10))
+        dim = int(rng.integers(k, 13))
+        v = rng.standard_normal(dim)
+        rows = [
+            c * v + rng.standard_normal(dim) * 10.0 ** rng.uniform(-6, -2)
+            for c in rng.integers(1, 1000, size=k)
+        ]
+        out, swaps = _traced_lll(rows)
+        assert_matches_reference(rows, out)
+        assert 1 in swaps
+        chains.append(_longest_chain(swaps))
+    assert max(chains) >= 7

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,3 +162,35 @@ def test_csv_output_shape():
         d, t, m, o = line.split(",")
         assert (int(d), int(t), int(o)) == (rec.depth, rec.target_id, rec.orbit_size)
         assert float(m) == rec.min_dist  # 17 significant digits round-trip
+
+
+EXPLORE_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "explore_golden.json").read_text()
+)
+
+
+def _points_digest(points):
+    h = hashlib.sha256()
+    for p in points:
+        h.update((",".join(float(x).hex() for x in p) + "\n").encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_explore_golden_walk(seed):
+    # the README example, recorded bit for bit; from depth 5 on the frontier
+    # exceeds FRONTIER_CAP, so the seeded subsample is covered too
+    g = EXPLORE_GOLDEN
+    y0 = oe.HyperboloidPoint(tuple(g["y0"]))
+    for case in g["cases"]:
+        if case["seed"] != seed:
+            continue
+        sink = []
+        recs = oe.explore(
+            L, tuple(g["u"]), y0, g["targets"], case["depth"], seed=seed,
+            point_sink=sink,
+        )
+        got = [[r.depth, r.target_id, r.min_dist.hex(), r.orbit_size] for r in recs]
+        assert got == case["records"]
+        assert len(sink) == case["points"]
+        assert _points_digest(sink) == case["points_sha256"]
