@@ -139,7 +139,7 @@ def _scaled_columns(y):
     out = []
     for col in y.columns():
         den = math.lcm(*(x.denominator for x in col))
-        out.append((den, [int(x * den) for x in col]))
+        out.append((den, [x.numerator * (den // x.denominator) for x in col]))
     return out
 
 
@@ -233,35 +233,50 @@ def _isotropic_walk(L: QuadLattice, basis, height):
     ±pair, in lexicographic order.
 
     basis must be in row echelon form with positive pivots, as an HNF is.
-    Level j picks c_j; the coordinates from pivot p_j up to p_{j+1} then
-    depend on c_1..c_j alone, so c_j runs over the integers keeping v[p_j]
-    in range and a node is dropped as soon as one of its fixed coordinates
-    leaves it.  v[p_j] increases with c_j, so the depth-first order is
-    lexicographic, and the first nonzero c_j positive picks the
-    representative whose leading entry is positive.  At the last level
-    Q(w + c·b_k) is a quadratic in c, solved exactly from the Gram of the
-    basis and the running pairings (w, b_i).
+    Level j picks c_j; the coordinates i from pivot p_j up to p_{j+1} then
+    depend on c_1..c_j alone, as v_i + c_j·b_i, so c_j runs over the exact
+    window of integers keeping every one of them within the height: the
+    intersection of the intervals of the nonzero b_i, empty when a zero
+    b_i leaves an out-of-range v_i.  v[p_j] increases with c_j, so the
+    depth-first order is lexicographic, and the first nonzero c_j positive
+    picks the representative whose leading entry is positive.  At the
+    last level Q(w + c·b_k) is a quadratic in c, solved exactly within
+    the window from the Gram of the basis and the running pairings (w, b_i).
     """
     n, k = L.rank, len(basis)
     height = math.floor(height)  # integer coordinates: |v_i| ≤ ⌊height⌋
     pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
     ends = pivots[1:] + [n]
+    # past each pivot, the coordinates its level fixes that some row up to
+    # it touches: the others stay 0
+    fixed = [
+        [(i, b[i]) for i in range(p + 1, e) if any(r[i] for r in basis[: j + 1])]
+        for j, (b, p, e) in enumerate(zip(basis, pivots, ends))
+    ]
+    steps = [[(i, x) for i, x in enumerate(b) if x] for b in basis]
     gram = [
         [sum(a * b for a, b in zip(gb, bj)) for bj in basis]
         for gb in (gram_column(L, bi) for bi in basis)
     ]
 
     def level(j, v, pair, q, started):
-        b, p = basis[j], pivots[j]
-        lo, hi = -((height + v[p]) // b[p]), (height - v[p]) // b[p]
+        p = pivots[j]
+        lo, hi = -((height + v[p]) // basis[j][p]), (height - v[p]) // basis[j][p]
         if not started:
             lo = max(lo, 0)
+        for i, x in fixed[j]:
+            if x > 0:
+                lo, hi = max(lo, -((height + v[i]) // x)), min(hi, (height - v[i]) // x)
+            elif x < 0:
+                lo, hi = max(lo, -((v[i] - height) // x)), min(hi, -(height + v[i]) // x)
+            elif abs(v[i]) > height:
+                return
         last = j == k - 1
         cs = _integer_roots(gram[j][j], pair[j], q, lo, hi) if last else range(lo, hi + 1)
         for c in cs:
-            w = v[:p] + [x + c * y for x, y in zip(v[p:], b[p:])]
-            if any(abs(x) > height for x in w[p + 1:ends[j]]):
-                continue
+            w = v[:]
+            for i, x in steps[j]:
+                w[i] += c * x
             if not last:
                 yield from level(
                     j + 1,
@@ -282,15 +297,14 @@ def find_isotropic_orthogonal(L: QuadLattice, y: SymbolicRealVector, height):
 
     Exhaustive within the bound: a depth-first walk over the coefficients
     of the echelon (Hermite) basis of the exact orthogonal sublattice.
-    Each level's coefficient runs over the exact interval that keeps the
-    coordinate at its pivot within the height, and a branch is cut as soon
-    as a coordinate it fixes leaves the height; the last coefficient is
-    the integer root of a quadratic, so only isotropic vectors come out.
-    One representative per ±pair (leading entry positive), produced in
-    lexicographic order.
+    Each level's coefficient runs over the exact window of integers that
+    keeps every coordinate the level fixes within the height, so no
+    branch is built only to be dropped; the last coefficient is the
+    integer root of a quadratic, so only isotropic vectors come out.  One
+    representative per ±pair (leading entry positive), produced in
+    lexicographic order.  Below height 1 the walk yields nothing, but y is
+    still checked against the lattice.
     """
-    if height < 1:
-        return []
     return list(_isotropic_walk(L, rational_constraint_lattice(L, y).basis, height))
 
 

@@ -323,6 +323,30 @@ def reference_find_isotropic_orthogonal(L, y, height):
     return out
 
 
+def box_isotropic_walk(L, basis, height):
+    """`_isotropic_walk` by brute force over the whole coordinate box: each
+    integer v with |v_i| ≤ height is kept when peeling the echelon basis
+    rows off at their pivots leaves zero, (v, v) = 0, gcd(v) = 1 and its
+    leading entry is positive.  The box is built in lexicographic order,
+    so the survivors come out sorted.  The oracle for the windowed walk on
+    any echelon basis, not only a constraint lattice's Hermite basis."""
+    h = math.floor(height)
+    axis = np.arange(-h, h + 1)
+    v = np.stack(np.meshgrid(*[axis] * L.rank, indexing="ij"), -1).reshape(-1, L.rank)
+    rest = v.copy()
+    keep = np.ones(len(v), dtype=bool)
+    for b in basis:
+        p = next(i for i, x in enumerate(b) if x)
+        c, r = np.divmod(rest[:, p], b[p])
+        keep &= r == 0
+        rest -= c[:, None] * np.array(b)
+    keep &= ~rest.any(axis=1)
+    keep &= ((v @ np.array(L.gram)) * v).sum(axis=1) == 0
+    keep &= np.gcd.reduce(v, axis=1) == 1
+    keep &= v[np.arange(len(v)), (v != 0).argmax(axis=1)] > 0
+    return [tuple(int(x) for x in row) for row in v[keep]]
+
+
 def reference_certify(L, y, height):
     """`certify_orthoisotropic_irrational` as it was before it consumed the
     walk lazily: the whole search first, then the public per-u test on

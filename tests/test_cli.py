@@ -197,6 +197,16 @@ def test_irr_find_isotropic_verb(capsys):
     assert all(len(v) == 6 for v in data["vectors"])
 
 
+@pytest.mark.parametrize("height", ["0", "1"])
+def test_irr_find_isotropic_rejects_a_short_y_at_every_height(capsys, height):
+    code, out, err = run(
+        capsys, "irr", "find-isotropic", "--model", "t4", "--y", "[1,0,0,0,0]",
+        "--height", height,
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "DimensionMismatch"
+
+
 def test_torus_approx_zero_target(capsys):
     data = run_json(
         capsys,

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    box_isotropic_walk,
     engineered_k3_vector,
     reference_certify,
     reference_find_isotropic_orthogonal,
@@ -246,6 +247,10 @@ def test_find_isotropic_orthogonal():
     assert (0, 1, 0, 0, 0, 0) in found
     assert found == brute_force_isotropic_orthogonal(T4, Y_IRR, 1)
     assert find_isotropic_orthogonal(T4, Y_IRR, 0) == []
+    # y is checked against the lattice even where no vector can come out
+    for height in (0, 0.5, 1):
+        with pytest.raises(DimensionMismatch):
+            find_isotropic_orthogonal(T4, rational_vector((1, 0, 0, 0, 0)), height)
     # a definite constraint lattice has no isotropic vectors at all
     y = from_columns(
         (UNIT, SQRT2, SQRT3),
@@ -320,6 +325,42 @@ def test_walk_and_certificate_match_the_box_walk(case, height):
         reference_find_isotropic_orthogonal(L, y, height)
     assert _certify_outcome(certify_orthoisotropic_irrational, L, y, height) == \
         _certify_outcome(reference_certify, L, y, height)
+
+
+@st.composite
+def echelon_walks(draw):
+    """A nondegenerate lattice of rank 1-6 and a row echelon basis of rank
+    1-6 in it that no Hermite reduction made: pivots 1-3 and entries past
+    each pivot in -3..3, zero half the time, so a level's fixed
+    coordinates can be negative or zero, and entries above later pivots
+    are not reduced.  Half the
+    Grams have a zero diagonal, which puts isotropic vectors in the box."""
+    n = draw(st.integers(1, 6))
+    size = n * (n + 1) // 2
+    vals = iter(draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size)))
+    hollow = draw(st.booleans())
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            gram[i][j] = gram[j][i] = next(vals) if i != j or not hollow else 0
+    assume(intlin.det_bareiss(gram) != 0)
+    pivots = sorted(draw(st.permutations(range(n)))[:draw(st.integers(1, n))])
+    basis = []
+    for p in pivots:
+        row = [0] * n
+        row[p] = draw(st.integers(1, 3))
+        for i in range(p + 1, n):
+            row[i] = draw(st.just(0) | st.integers(-3, 3))
+        basis.append(row)
+    return QuadLattice(gram), basis
+
+
+@settings(max_examples=300, deadline=None)
+@given(echelon_walks(), st.sampled_from((0, 1, 2, 2.5, 3, 4)))
+def test_walk_matches_the_box_on_any_echelon_basis(case, height):
+    L, basis = case
+    assert list(irrationality._isotropic_walk(L, basis, height)) == \
+        box_isotropic_walk(L, basis, height)
 
 
 def test_find_isotropic_orthogonal_pinned_on_k3():
