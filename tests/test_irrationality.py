@@ -333,8 +333,8 @@ def echelon_walks(draw):
     1-6 in it that no Hermite reduction made: pivots 1-3 and entries past
     each pivot in -3..3, zero half the time, so a level's fixed
     coordinates can be negative or zero, and entries above later pivots
-    are not reduced.  Half the
-    Grams have a zero diagonal, which puts isotropic vectors in the box."""
+    are not reduced.  Half the Grams have a zero diagonal, which puts
+    isotropic vectors in the box."""
     n = draw(st.integers(1, 6))
     size = n * (n + 1) // 2
     vals = iter(draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size)))
