@@ -1,20 +1,18 @@
-"""Exact integer and rational linear algebra on plain nested lists.
+"""Exact integer linear algebra on plain nested lists.
 
-Everything here is arbitrary precision (Python ints, fractions.Fraction);
-no floating point.  Inputs may be any sequence of rows (lists or tuples);
-results are lists of lists.  These are the primitives behind the lattice
-layer: canonical Hermite forms, integer kernels, exact inertia, and
-rational elimination.
+Everything here is arbitrary-precision Python ints; no fractions and no
+floating point.  Inputs are integer matrices given as any sequence of
+rows (lists or tuples); results are lists of lists.  These are the
+primitives behind the lattice layer: canonical Hermite forms, integer
+kernels, ranks and exact inertia.
 
-Elimination is done one way each: over Q by the single Fraction
-Gauss–Jordan routine `_rref` (rank), and over Z by
-`row_hnf` (Hermite form, kernel, unimodular inverse, saturation).  Beside
-them sit the fraction-free `det_bareiss` and one symmetric congruence
-reduction `_congruence_diagonal`, read by `signature` (the signs of its
-diagonal) and `positive_basis` (its positive columns).
+Elimination over Z is `row_hnf` (Hermite form, rank, kernel, unimodular
+inverse, saturation).  Beside it sit the fraction-free `det_bareiss` and
+one fraction-free symmetric congruence reduction `_congruence_reduction`,
+read by `signature` (the signs of its diagonal) and `positive_basis`
+(its positive columns).
 """
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import DegenerateGram
@@ -63,32 +61,6 @@ def det_bareiss(m):
     return sign * a[n - 1][n - 1]
 
 
-def _rref(rows, ncols):
-    """Fraction Gauss–Jordan on the first ncols columns of rows.
-
-    Returns (a, pivots): a is the reduced row echelon form over Q, and
-    pivots lists the pivot columns, so len(pivots) is the rank.
-    """
-    a = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for col in range(ncols):
-        r = len(pivots)
-        if r == len(a):
-            break
-        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-    return a, pivots
-
-
 def integer_inverse(a):
     """Inverse of a unimodular integer matrix, returned over the integers.
 
@@ -102,9 +74,8 @@ def integer_inverse(a):
 
 
 def rational_rank(m):
-    if not m:
-        return 0
-    return len(_rref(m, len(m[0]))[1])
+    """Rank over Q of integer rows: the nonzero rows of their Hermite form."""
+    return len(hnf_basis(m))
 
 
 def xgcd(a, b):
@@ -209,39 +180,45 @@ def kernel_basis(a):
     return hnf_basis(ker)
 
 
-def _congruence_diagonal(gram):
-    """Symmetric column reduction: (d, b) with bᵀ·gram·b = diag(d) over Q.
+def _congruence_reduction(gram):
+    """Fraction-free symmetric column reduction: (d, b) with
+    bᵀ·gram·b = diag(d), b an integer matrix.
 
     A zero pivot with a nonzero partner j is fixed first by adding
     column ± j; a zero pivot without one is a zero row, so the form is
-    singular.  The columns of b are returned as rows.
+    singular.  A nonzero pivot p clears column j as
+    |p|·col_j − sgn(p)·s_ij·col_i, a positive multiple of the rational
+    step.  Each updated column is divided by the content of its b
+    entries; s = bᵀ·gram·b stays integral with b, so the division is
+    exact.  The columns of b are returned as rows.
     """
     n = len(gram)
-    s = [[Fraction(x) for x in row] for row in gram]
-    b = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    s = [list(row) for row in gram]
+    b = identity(n)  # b[k] is column k
 
-    def col_add(dst, src, f):  # column dst += f * column src, congruently
-        for k in range(n):
-            s[k][dst] += f * s[k][src]
-        for k in range(n):
-            s[dst][k] += f * s[src][k]
-        for k in range(n):
-            b[k][dst] += f * b[k][src]
+    def col_update(dst, f, src, g):  # column dst = f·dst + g·src, congruently
+        for row in s:
+            row[dst] = f * row[dst] + g * row[src]
+        s[dst] = [f * x + g * y for x, y in zip(s[dst], s[src])]
+        b[dst] = [f * x + g * y for x, y in zip(b[dst], b[src])]
+        c = vector_gcd(b[dst])
+        if c > 1:
+            for row in s:
+                row[dst] //= c
+            s[dst] = [x // c for x in s[dst]]
+            b[dst] = [x // c for x in b[dst]]
 
     for i in range(n):
         if s[i][i] == 0:
             j = next((j for j in range(i + 1, n) if s[i][j] != 0), None)
             if j is None:
                 continue
-            sign = 1 if 2 * s[i][j] + s[j][j] != 0 else -1
-            col_add(i, j, sign)
-        if s[i][i] == 0:
-            continue
+            col_update(i, 1, j, 1 if 2 * s[i][j] + s[j][j] != 0 else -1)
+        p = s[i][i]
         for j in range(i + 1, n):
             if s[i][j] != 0:
-                col_add(j, i, -s[i][j] / s[i][i])
-    cols = [[b[k][i] for k in range(n)] for i in range(n)]
-    return [s[i][i] for i in range(n)], cols
+                col_update(j, abs(p), i, -s[i][j] if p > 0 else s[i][j])
+    return [s[i][i] for i in range(n)], b
 
 
 def signature(gram):
@@ -250,18 +227,18 @@ def signature(gram):
     Raises DegenerateGram when the form is singular (a zero on the
     diagonal).
     """
-    d, _ = _congruence_diagonal(gram)
+    d, _ = _congruence_reduction(gram)
     if 0 in d:
         raise DegenerateGram("gram matrix is degenerate")
     return sum(x > 0 for x in d), sum(x < 0 for x in d)
 
 
 def positive_basis(gram):
-    """Rational basis vectors of a maximal positive-definite subspace.
+    """Integer basis vectors of a maximal positive-definite subspace.
 
-    Returned vectors are pairwise orthogonal under the form with positive
-    self-pairing: the columns of the congruence reduction whose diagonal
-    entry is positive.
+    Returned vectors are primitive and pairwise orthogonal under the form
+    with positive self-pairing: the columns of the congruence reduction
+    whose diagonal entry is positive.
     """
-    d, cols = _congruence_diagonal(gram)
+    d, cols = _congruence_reduction(gram)
     return [v for x, v in zip(d, cols) if x > 0]

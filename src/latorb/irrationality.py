@@ -8,10 +8,11 @@ formalism sit three decision procedures: exact computation of the rational
 orthogonal sublattice of a symbolic vector, a rank test for whether the
 vector avoids every real plane spanned by a fixed isotropic direction and
 a lattice point, and a three-step certificate combining both with a
-bounded isotropic search.
+bounded isotropic search.  All of it is exact rational and integer
+arithmetic; the one step that reads the float approximations, the sign of
+(y,y), evaluates y at those floats exactly.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,21 +25,6 @@ from .errors import (
     PrecisionError,
 )
 from .lattice_core import QuadLattice, Sublattice, _check_split, gram_column
-
-# Interval evaluation runs in a private mpmath context at a fixed working
-# precision (bits), so it never reads or changes the global mpmath.iv.
-INTERVAL_PRECISION = 128
-
-
-@functools.cache
-def _interval_context():
-    # built at the first evaluation: importing mpmath costs more than most
-    # callers of this module spend in it
-    import mpmath
-
-    iv = mpmath.ctx_iv.MPIntervalContext()
-    iv.prec = INTERVAL_PRECISION
-    return iv
 
 INDEPENDENCE_ASSUMPTION = (
     "assumes the non-unit symbols are Q-linearly independent together with 1"
@@ -155,44 +141,37 @@ def rational_constraint_lattice(L: QuadLattice, y: SymbolicRealVector) -> Sublat
 
 
 def certified_norm_sign(L: QuadLattice, y: SymbolicRealVector):
-    """Sign of (y,y) under the symbol approximations, by interval arithmetic.
+    """Exact sign of (y,y) at the symbol approximations.
 
-    Returns +1, −1, or 0.  The zero is exact — it is returned only when
-    every rational coefficient of every symbol product vanishes, which
-    proves (y,y) = 0 without touching the approximations.  Otherwise the
-    sign comes from an interval evaluation, and an interval that straddles
-    (or touches) zero raises PrecisionError rather than silently guessing.
+    Returns +1, −1 or 0 for the norm of y_a, the rational vector with
+    each symbol replaced by its float, evaluated exactly: y_a is scaled
+    to one integer vector z over a common denominator, and the sign is
+    that of zᵀGz.  It is the sign at the given floats, not at the true
+    irrationals.  A zero is returned only when every symbol-pair pairing
+    vanishes, which proves (y,y) = 0 as a symbolic identity; a norm that
+    is exactly 0 at the floats but not identically 0 raises
+    PrecisionError rather than silently guessing.
     """
     if y.rank != L.rank:
         raise DimensionMismatch("vector length must match the lattice")
     scaled = _scaled_columns(y)
-    pair = []
-    for ds, cs in scaled:
-        gs = gram_column(L, cs)  # once per symbol, in integers
-        pair.append([
-            Fraction(sum(a * b for a, b in zip(gs, ct)), ds * dt)
-            for dt, ct in scaled
-        ])
-    if all(q == 0 for row in pair for q in row):
-        return 0
-    iv = _interval_context()
-    total = iv.mpf(0)
-    vals = [
-        iv.mpf(1) if s == UNIT else iv.mpf(s.approx)
-        for s in y.symbols
-    ]
-    for s, row in enumerate(pair):
-        for t, q in enumerate(row):
-            if q != 0:
-                qi = iv.mpf(q.numerator) / iv.mpf(q.denominator)
-                total += qi * vals[s] * vals[t]
-    if total.a > 0:
-        return 1
-    if total.b < 0:
-        return -1
-    raise PrecisionError(
-        "norm interval straddles zero at this working precision"
-    )
+    cols = [c for _, c in scaled]
+    # symbol j adds (p_j/q_j)·(c_j/d_j) to y_a; z = den·y_a
+    ratios = [Fraction(s.approx).as_integer_ratio() for s in y.symbols]
+    dens = [q * d for (_, q), (d, _) in zip(ratios, scaled)]
+    den = math.lcm(*dens)
+    factors = [p * (den // m) for (p, _), m in zip(ratios, dens)]
+    z = [sum(f * x for f, x in zip(factors, row)) for row in zip(*cols)]
+    norm = sum(a * b for a, b in zip(gram_column(L, z), z))
+    if norm != 0:
+        return 1 if norm > 0 else -1
+    for i, c in enumerate(cols):
+        gc = gram_column(L, c)
+        if any(sum(a * b for a, b in zip(gc, ct)) for ct in cols[i:]):
+            raise PrecisionError(
+                "(y,y) is exactly 0 at the approximations but not identically 0"
+            )
+    return 0
 
 
 def is_u_orthoirrational(L: QuadLattice, u, y: SymbolicRealVector) -> bool:
@@ -208,7 +187,8 @@ def is_u_orthoirrational(L: QuadLattice, u, y: SymbolicRealVector) -> bool:
         raise NotOrthogonal("y must pair to zero with u at every symbol")
     if certified_norm_sign(L, y) < 0:
         raise NotPositiveNorm("y must have positive norm")
-    return intlin.rational_rank([_check_split(L, u), *y.columns()]) >= 3
+    cols = [c for _, c in _scaled_columns(y)]
+    return intlin.rational_rank([_check_split(L, u), *cols]) >= 3
 
 
 def _integer_roots(a, b, c, lo, hi):

@@ -10,7 +10,6 @@ here are words in transvections.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
 
 from . import intlin
 from .errors import (
@@ -139,12 +138,9 @@ def eichler_transvection(L: QuadLattice, e, a) -> Isometry:
 
 @lru_cache(maxsize=None)
 def _positive_frame(L: QuadLattice):
-    """Orthogonal basis of a maximal positive subspace, scaled to integers,
-    with the Gram column of each vector."""
-    basis = []
-    for v in intlin.positive_basis(L.gram):
-        den = lcm(*(x.denominator for x in v))
-        basis.append([int(x * den) for x in v])
+    """Orthogonal integer basis of a maximal positive subspace, with the
+    Gram column of each vector."""
+    basis = intlin.positive_basis(L.gram)
     return basis, [gram_column(L, p) for p in basis]
 
 
@@ -152,11 +148,10 @@ def is_in_so_plus(g: Isometry) -> bool:
     """Whether g preserves the orientation of a maximal positive subspace.
 
     For an orthogonal positive basis P the sign of det[(g·p_i, p_j)] is the
-    sign of the determinant of g's projection onto Span P; rescaling P by
-    positive factors keeps it, so P is taken integral and the determinant
-    is an integer one (1 for an empty frame, 0 for a degenerate
-    projection).  Inputs of determinant −1 are rejected.  The verdict is
-    kept on g, like its determinant.
+    sign of the determinant of g's projection onto Span P; P is the
+    integer `positive_basis`, so the determinant is an integer one (1 for
+    an empty frame, 0 for a degenerate projection).  Inputs of determinant
+    −1 are rejected.  The verdict is kept on g, like its determinant.
     """
     return g.so_plus
 

@@ -164,6 +164,42 @@ def reference_gso(rows):
     return star
 
 
+def reference_positive_basis(gram):
+    """Rational basis of a maximal positive subspace by symmetric column
+    reduction in Fraction arithmetic, as `positive_basis` computed it
+    before it became fraction-free: the columns whose diagonal entry ends
+    positive, pairwise orthogonal under the form.
+
+    A zero pivot with a nonzero partner j is fixed first by adding
+    column ± j; a zero pivot without one is left as it is.
+    """
+    n = len(gram)
+    s = [[Fraction(x) for x in row] for row in gram]
+    b = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+
+    def col_add(dst, src, f):  # column dst += f * column src, congruently
+        for k in range(n):
+            s[k][dst] += f * s[k][src]
+        for k in range(n):
+            s[dst][k] += f * s[src][k]
+        for k in range(n):
+            b[k][dst] += f * b[k][src]
+
+    for i in range(n):
+        if s[i][i] == 0:
+            j = next((j for j in range(i + 1, n) if s[i][j] != 0), None)
+            if j is None:
+                continue
+            sign = 1 if 2 * s[i][j] + s[j][j] != 0 else -1
+            col_add(i, j, sign)
+        if s[i][i] == 0:
+            continue
+        for j in range(i + 1, n):
+            if s[i][j] != 0:
+                col_add(j, i, -s[i][j] / s[i][i])
+    return [[b[k][i] for k in range(n)] for i in range(n) if s[i][i] > 0]
+
+
 def reference_is_in_so_plus(g):
     """Orientation test by projection in Fraction arithmetic: the image of
     an orthogonal rational positive basis P is projected back onto P and
@@ -172,7 +208,7 @@ def reference_is_in_so_plus(g):
     if intlin.det_bareiss(g.matrix) != 1:
         raise ValueError("orientation test requires determinant +1")
     gram = g.lattice.gram
-    basis = intlin.positive_basis(gram)
+    basis = reference_positive_basis(gram)
     if not basis:
         return True
     norms = [sum(a * b for a, b in zip(intlin.mat_vec(gram, v), v)) for v in basis]
@@ -272,7 +308,9 @@ def reference_is_u_orthoirrational(L, u, y):
         coords = intlin.mat_vec(tinv, col)
         if coords[1] != 0:  # the z-coordinate is the pairing with u
             raise AssertionError("projection left a component along z")
-        projected.append(coords[2:])
+        rest = coords[2:]  # cleared of denominators: rational_rank takes integers
+        den = math.lcm(*(Fraction(x).denominator for x in rest))
+        projected.append([int(x * den) for x in rest])
     return intlin.rational_rank(projected) >= 2
 
 

@@ -455,11 +455,10 @@ EXACT_VERBS = [
      "--u", T4_U, "--y", SYMBOLIC_Y],
     ["isom", "generators", "--model", "t4", "--u", T4_U],
     ["irr", "find-isotropic", "--model", "t4", "--y", SYMBOLIC_Y, "--height", "2"],
-]
-NORM_SIGN_VERBS = [
     ["irr", "check-u", "--model", "t4", "--u", T4_U, "--y", SYMBOLIC_Y],
     ["irr", "certify", "--model", "t4", "--y", SYMBOLIC_Y, "--height", "1"],
 ]
+NUMPY_VERBS = [["torus", "wedge", "--g", json.dumps(intlin.identity(4))]]
 
 # Runs each verb given as JSON in turn and prints, per verb, its exit code
 # and whether numpy and mpmath are loaded after it.
@@ -476,15 +475,15 @@ print(json.dumps(out))
 
 
 def test_each_verb_loads_only_the_packages_it_uses():
-    # numpy is for the torus and explore verbs alone, and mpmath for a
-    # norm-sign evaluation: the exact verbs load neither
+    # numpy is for the torus and explore verbs alone, and no verb loads
+    # mpmath: the exact verbs, norm signs included, load neither package
     done = run_python("-c", "import sys, latorb.cli; "
                       "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
-    verbs = EXACT_VERBS + NORM_SIGN_VERBS
+    verbs = EXACT_VERBS + NUMPY_VERBS
     done = run_python("-c", _LOADED_AFTER_EACH_VERB, json.dumps(verbs))
     assert done.returncode == 0, done.stderr
     expected = [[argv[:2], 0, False, False] for argv in EXACT_VERBS]
-    expected += [[argv[:2], 0, False, True] for argv in NORM_SIGN_VERBS]
+    expected += [[argv[:2], 0, True, False] for argv in NUMPY_VERBS]
     assert json.loads(done.stdout) == expected

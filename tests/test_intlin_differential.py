@@ -132,7 +132,9 @@ def test_signature_matches_reference_reduction(s):
     p, q = intlin.signature(s)
     assert (p, q) == reference_signature(s)
     assert p + q == len(s)
-    assert len(intlin.positive_basis(s)) == p
+    basis = intlin.positive_basis(s)
+    assert len(basis) == p
+    assert all(type(x) is int for v in basis for x in v)
 
 
 @DRAWN

@@ -2,8 +2,8 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +13,6 @@ from helpers import (
     reference_certify,
     reference_find_isotropic_orthogonal,
     reference_is_u_orthoirrational,
-    run_python,
     scale,
 )
 from latorb import intlin, irrationality
@@ -125,48 +124,76 @@ def test_certified_norm_sign():
     assert certified_norm_sign(T4, Y_IRR) == 1  # (y,y) = 2*sqrt2
     neg = rational_vector((1, -1, 0, 0, 0, 0))
     assert certified_norm_sign(T4, neg) == -1
-    # all pairing coefficients vanish: a certified zero, not a straddle
+    # all pairing coefficients vanish: a certified zero, not a PrecisionError
     assert certified_norm_sign(T4, rational_vector(X1)) == 0
-    # nonzero coefficients that cancel numerically are a genuine straddle
+    # y = -x2 + s·(x2 + y2) with s ≈ 1 + 1e-10 has norm 2s(s − 1) ≈ 2e-10
+    s = Symbol("s", 1.0000000001)
+    y = from_columns((UNIT, s), [[0, 0, -1, 0, 0, 0], [0, 0, 1, 1, 0, 0]])
+    assert certified_norm_sign(T4, y) == 1
+    # nonzero coefficients that cancel exactly at the floats: (y,y) is 0
+    # at the approximations but not identically
     col = [0, 0, 1, 1, 0, 0]
     cancel = from_columns((UNIT, Symbol("one", 1.0)), [col, [-x for x in col]])
     with pytest.raises(PrecisionError):
         certified_norm_sign(T4, cancel)
 
 
-def test_interval_evaluation_does_not_use_the_global_context(monkeypatch):
-    # the certificate runs in its own interval context: with mpmath.iv gone
-    # the answers are unchanged, and a straddle still raises
-    col = [0, 0, 1, 1, 0, 0]
-    cancel = from_columns((UNIT, Symbol("one", 1.0)), [col, [-x for x in col]])
-    positive = [Y_IRR, rational_vector(X1), rational_vector((0, 0, 1, 1, 0, 0))]
-    ys = positive + [rational_vector((1, -1, 0, 0, 0, 0))]
-    signs = [certified_norm_sign(T4, y) for y in ys]
-    certs = [certify_orthoisotropic_irrational(T4, y, 1) for y in positive]
-    monkeypatch.setattr(mpmath, "iv", None)
-    assert [certified_norm_sign(T4, y) for y in ys] == signs
-    assert [certify_orthoisotropic_irrational(T4, y, 1) for y in positive] == certs
-    with pytest.raises(PrecisionError):
-        certified_norm_sign(T4, cancel)
+def sympy_norm_sign(L, y):
+    """The contract of `certified_norm_sign` evaluated by sympy: the sign
+    of (y_a, y_a), where y_a is y with every symbol replaced by the exact
+    rational value of its float; at zero, 0 when every symbol-pair pairing
+    vanishes and PrecisionError otherwise."""
+    gram = sympy.Matrix(L.gram)
+    cols = [sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in c])
+            for c in y.columns()]
+    ya = sympy.zeros(L.rank, 1)
+    for s, c in zip(y.symbols, cols):
+        ya += sympy.Rational(s.approx) * c
+    norm = (ya.T * gram * ya)[0]
+    if norm != 0:
+        return 1 if norm > 0 else -1
+    if any((a.T * gram * b)[0] != 0 for a in cols for b in cols):
+        return PrecisionError
+    return 0
 
 
-def test_interval_context_built_on_first_use_is_private_and_128_bit():
-    # In a fresh interpreter the global interval precision drops to 20
-    # bits before the first evaluation.  y = -x2 + s·(x2 + y2) with
-    # s ≈ 1 + 1e-10 has norm 2s(s − 1) ≈ 2e-10: its interval straddles
-    # zero at 20 bits and is positive at 128.
-    code = """
-import mpmath
-mpmath.iv.prec = 20
-from latorb.irrationality import UNIT, Symbol, certified_norm_sign, from_columns
-from latorb.lattice_core import t4_model
-s = Symbol("s", 1.0000000001)
-y = from_columns((UNIT, s), [[0, 0, -1, 0, 0, 0], [0, 0, 1, 1, 0, 0]])
-print(certified_norm_sign(t4_model(), y), mpmath.iv.prec)
-"""
-    done = run_python("-c", code)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "1 20\n"
+@st.composite
+def float_classes(draw):
+    """A T4 class with 1-4 symbols whose floats are square roots, small
+    exact values or arbitrary floats, over sparse rational columns.  Half
+    the multi-symbol classes repeat a symbol's column negated, with its
+    float or the next float up, so norms that are exactly 0 at the floats,
+    identically or not, and norms a few ulps from 0 are common."""
+    k = draw(st.integers(1, 4))
+    approx = st.sampled_from((math.sqrt(2), math.sqrt(3), 1.0, 0.5)) | st.floats(
+        -4, 4, allow_nan=False
+    )
+    floats = [1.0] + [draw(approx) for _ in range(1, k)]
+    columns = [
+        [Fraction(a, b) for a, b in draw(st.lists(
+            st.tuples(st.just(0) | st.integers(-3, 3), st.integers(1, 3)),
+            min_size=6, max_size=6,
+        ))]
+        for _ in range(k)
+    ]
+    if k >= 2 and draw(st.booleans()):
+        j = draw(st.integers(1, k - 1))
+        i = draw(st.integers(0, j - 1))
+        up = math.nextafter(floats[i], math.inf)
+        floats[j] = draw(st.sampled_from((floats[i], up)))
+        columns[j] = [-x for x in columns[i]]
+    symbols = [UNIT] + [Symbol(f"s{j}", floats[j]) for j in range(1, k)]
+    return from_columns(symbols, columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_classes())
+def test_certified_norm_sign_matches_sympy(y):
+    try:
+        sign = certified_norm_sign(T4, y)
+    except PrecisionError:
+        sign = PrecisionError
+    assert sign == sympy_norm_sign(T4, y)
 
 
 def test_is_u_orthoirrational_examples():

@@ -1,9 +1,11 @@
 """Source checks on the package: its checks must survive `python -O`,
-which strips asserts, no module may change an imported module's state, and
-no public name may go unused."""
+which strips asserts, no module may change an imported module's state, no
+public name may go unused, and the declared dependencies are exactly the
+third-party packages it imports."""
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +99,20 @@ def test_every_public_definition_has_a_use():
         and not any(name in used for m, n, used in uses if (m, n) != (module, name))
     ]
     assert unused == [], f"public names with no use in src/ and no README mention: {unused}"
+
+
+def test_declared_dependencies_are_the_third_party_imports():
+    # a package that no module imports any more must leave the dependency
+    # list, and one that a module starts to import must join it
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", d).group() for d in project["dependencies"]}
+    imported = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"latorb"}
+    assert third_party == declared
