@@ -2,9 +2,11 @@
 
 Everything here is arbitrary-precision Python ints; no fractions and no
 floating point.  Inputs are integer matrices given as any sequence of
-rows (lists or tuples); results are lists of lists.  These are the
-primitives behind the lattice layer: canonical Hermite forms, integer
-kernels, ranks and exact inertia.
+rows (lists or tuples); every matrix result is a tuple of int tuples and
+every vector result an int tuple, so results can be shared and cached
+(`identity` is).  Lists are scratch inside a function only.  These are
+the primitives behind the lattice layer: canonical Hermite forms,
+integer kernels, ranks and exact inertia.
 
 Elimination over Z is `row_hnf` (Hermite form, rank, kernel, unimodular
 inverse, saturation).  Beside it sit the fraction-free `det_bareiss` and
@@ -13,28 +15,28 @@ read by `signature` (the signs of its diagonal) and `positive_basis`
 (its positive columns).
 """
 
+from functools import cache
 from math import gcd
 
 from .errors import DegenerateGram
 
 
+@cache
 def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return tuple(tuple([1 if i == j else 0 for j in range(n)]) for i in range(n))
 
 
 def transpose(m):
-    return [list(col) for col in zip(*m)] if m else []
+    return tuple(zip(*m))
 
 
 def mat_mul(a, b):
-    if not a or not b:
-        return []
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    bt = tuple(zip(*b))
+    return tuple(tuple([sum(x * y for x, y in zip(row, col)) for col in bt]) for row in a)
 
 
 def mat_vec(m, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in m]
+    return tuple([sum(x * y for x, y in zip(row, v)) for row in m])
 
 
 def det_bareiss(m):
@@ -108,7 +110,7 @@ def xgcd_vector(vals):
         g2, x, y = xgcd(g, v)
         coeffs = [c * x for c in coeffs] + [y]
         g = g2
-    return g, coeffs
+    return g, tuple(coeffs)
 
 
 def vector_gcd(v):
@@ -125,10 +127,10 @@ def row_hnf(m):
     each pivot reduced into [0, pivot), zero rows last.
     """
     if not m:
-        return [], []
+        return (), ()
     h = [list(row) for row in m]
     nrows, ncols = len(h), len(h[0])
-    u = identity(nrows)
+    u = [list(row) for row in identity(nrows)]
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -160,13 +162,13 @@ def row_hnf(m):
                 h[i] = [a - f * b for a, b in zip(h[i], h[r])]
                 u[i] = [a - f * b for a, b in zip(u[i], u[r])]
         r += 1
-    return h, u
+    return tuple(map(tuple, h)), tuple(map(tuple, u))
 
 
 def hnf_basis(rows):
     """Canonical basis (HNF rows) of the lattice spanned by integer rows."""
     h, _ = row_hnf(rows)
-    return [row for row in h if any(row)]
+    return tuple(row for row in h if any(row))
 
 
 def kernel_basis(a):
@@ -194,7 +196,7 @@ def _congruence_reduction(gram):
     """
     n = len(gram)
     s = [list(row) for row in gram]
-    b = identity(n)  # b[k] is column k
+    b = [list(row) for row in identity(n)]  # b[k] is column k
 
     def col_update(dst, f, src, g):  # column dst = f·dst + g·src, congruently
         for row in s:
@@ -218,7 +220,7 @@ def _congruence_reduction(gram):
         for j in range(i + 1, n):
             if s[i][j] != 0:
                 col_update(j, abs(p), i, -s[i][j] if p > 0 else s[i][j])
-    return [s[i][i] for i in range(n)], b
+    return tuple(s[i][i] for i in range(n)), tuple(map(tuple, b))
 
 
 def signature(gram):
@@ -241,4 +243,4 @@ def positive_basis(gram):
     whose diagonal entry is positive.
     """
     d, cols = _congruence_reduction(gram)
-    return [v for x, v in zip(d, cols) if x > 0]
+    return tuple(v for x, v in zip(d, cols) if x > 0)

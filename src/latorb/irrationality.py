@@ -24,7 +24,14 @@ from .errors import (
     NotPositiveNorm,
     PrecisionError,
 )
-from .lattice_core import QuadLattice, Sublattice, _check_split, gram_column
+from .lattice_core import (
+    QuadLattice,
+    Sublattice,
+    _check_split,
+    _dot,
+    gram_column,
+    orthogonal_sublattice,
+)
 
 INDEPENDENCE_ASSUMPTION = (
     "assumes the non-unit symbols are Q-linearly independent together with 1"
@@ -52,63 +59,67 @@ UNIT = Symbol("1", 1.0)
 
 @dataclass(frozen=True)
 class SymbolicRealVector:
-    """Vector with coordinates Σ_j coeffs[i][j]·symbol_j, coeffs exact."""
+    """Vector Σ_j symbols[j]·columns[j]/dens[j]: per symbol an integer
+    column and its least positive denominator.
+
+    The form is canonical (gcd(dens[j], columns[j]) = 1), so equality and
+    hashing are those of the rational vector.  `from_columns` reads
+    rational columns into this form.
+    """
 
     symbols: tuple
-    coeffs: tuple
+    columns: tuple
+    dens: tuple
 
     def __post_init__(self):
-        syms = tuple(self.symbols)
+        syms = self.symbols
         if not syms or syms[0] != UNIT:
             raise ValueError("first symbol must be the rational unit")
         tags = [s.tag for s in syms]
         if len(set(tags)) != len(tags):
             raise ValueError("symbol tags must be pairwise distinct")
-        rows = tuple(
-            tuple(Fraction(x) for x in row) for row in self.coeffs
-        )
-        if any(len(row) != len(syms) for row in rows):
-            raise DimensionMismatch("coefficient rows must match the symbols")
-        object.__setattr__(self, "symbols", syms)
-        object.__setattr__(self, "coeffs", rows)
+        if len(self.columns) != len(syms) or len({len(c) for c in self.columns}) > 1:
+            raise DimensionMismatch("need one column per symbol, all of one length")
+        if any(d < 1 or math.gcd(d, *c) != 1 for d, c in zip(self.dens, self.columns)):
+            raise ValueError("each column must be over its least positive denominator")
 
     @property
     def rank(self):
-        return len(self.coeffs)
-
-    def column(self, j):
-        """Exact rational coordinate vector attached to symbol j."""
-        return [row[j] for row in self.coeffs]
-
-    def columns(self):
-        return [self.column(j) for j in range(len(self.symbols))]
+        return len(self.columns[0])
 
     def approx_coords(self):
         """Float coordinates obtained by substituting the approximations."""
-        vals = [s.approx for s in self.symbols]
-        return [
-            float(sum(Fraction(v) * c for v, c in zip(vals, row)))
-            for row in self.coeffs
+        terms = [
+            (Fraction(s.approx) / d, c)
+            for s, d, c in zip(self.symbols, self.dens, self.columns)
         ]
+        return [float(sum(f * c[i] for f, c in terms)) for i in range(self.rank)]
+
+
+def from_columns(symbols, columns) -> SymbolicRealVector:
+    """Builds a symbolic vector from one rational column per symbol; the
+    entries may be ints, Fractions or "p/q" strings."""
+    dens, ints = [], []
+    for col in columns:
+        col = [Fraction(x) for x in col]
+        den = math.lcm(*(x.denominator for x in col))
+        dens.append(den)
+        ints.append(tuple([x.numerator * (den // x.denominator) for x in col]))
+    return SymbolicRealVector(tuple(symbols), tuple(ints), tuple(dens))
 
 
 def rational_vector(v) -> SymbolicRealVector:
     """Wraps an ordinary rational vector as a one-symbol symbolic vector."""
-    return SymbolicRealVector((UNIT,), tuple((Fraction(x),) for x in v))
-
-
-def from_columns(symbols, columns) -> SymbolicRealVector:
-    """Builds a symbolic vector from one rational column per symbol."""
-    rows = tuple(tuple(col[i] for col in columns) for i in range(len(columns[0])))
-    return SymbolicRealVector(tuple(symbols), rows)
+    return from_columns((UNIT,), [v])
 
 
 def transform(g, y: SymbolicRealVector) -> SymbolicRealVector:
-    """Exact action of an isometry on the coefficient matrix."""
+    """Exact action of an isometry on the columns; g is unimodular, so
+    each image keeps its denominator."""
     if len(g.matrix) != y.rank:
         raise DimensionMismatch("isometry rank does not match the vector")
-    new_cols = [intlin.mat_vec(g.matrix, col) for col in y.columns()]
-    return from_columns(y.symbols, new_cols)
+    cols = tuple(intlin.mat_vec(g.matrix, c) for c in y.columns)
+    return SymbolicRealVector(y.symbols, cols, y.dens)
 
 
 def symbolic_inner(L: QuadLattice, y: SymbolicRealVector, v):
@@ -116,28 +127,14 @@ def symbolic_inner(L: QuadLattice, y: SymbolicRealVector, v):
     if y.rank != L.rank or len(v) != L.rank:
         raise DimensionMismatch("vector lengths must match the lattice")
     gv = gram_column(L, v)
-    return [sum(c * x for c, x in zip(col, gv)) for col in y.columns()]
-
-
-def _scaled_columns(y):
-    """Per symbol column c, (den, den·c) with den the lcm of the
-    denominators of c, so den·c is an integer vector."""
-    out = []
-    for col in y.columns():
-        den = math.lcm(*(x.denominator for x in col))
-        out.append((den, [x.numerator * (den // x.denominator) for x in col]))
-    return out
+    return [Fraction(_dot(c, gv), d) for c, d in zip(y.columns, y.dens)]
 
 
 def rational_constraint_lattice(L: QuadLattice, y: SymbolicRealVector) -> Sublattice:
     """Exact sublattice of lattice vectors pairing to zero with every symbol."""
     if y.rank != L.rank:
         raise DimensionMismatch("vector length must match the lattice")
-    rows = [gram_column(L, c) for _, c in _scaled_columns(y)]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return Sublattice(intlin.identity(L.rank))
-    return Sublattice(intlin.kernel_basis(rows))
+    return orthogonal_sublattice(L, y.columns)
 
 
 def certified_norm_sign(L: QuadLattice, y: SymbolicRealVector):
@@ -154,11 +151,10 @@ def certified_norm_sign(L: QuadLattice, y: SymbolicRealVector):
     """
     if y.rank != L.rank:
         raise DimensionMismatch("vector length must match the lattice")
-    scaled = _scaled_columns(y)
-    cols = [c for _, c in scaled]
+    cols = y.columns
     # symbol j adds (p_j/q_j)·(c_j/d_j) to y_a; z = den·y_a
-    ratios = [Fraction(s.approx).as_integer_ratio() for s in y.symbols]
-    dens = [q * d for (_, q), (d, _) in zip(ratios, scaled)]
+    ratios = [s.approx.as_integer_ratio() for s in y.symbols]
+    dens = [q * d for (_, q), d in zip(ratios, y.dens)]
     den = math.lcm(*dens)
     factors = [p * (den // m) for (p, _), m in zip(ratios, dens)]
     z = [sum(f * x for f, x in zip(factors, row)) for row in zip(*cols)]
@@ -187,8 +183,7 @@ def is_u_orthoirrational(L: QuadLattice, u, y: SymbolicRealVector) -> bool:
         raise NotOrthogonal("y must pair to zero with u at every symbol")
     if certified_norm_sign(L, y) < 0:
         raise NotPositiveNorm("y must have positive norm")
-    cols = [c for _, c in _scaled_columns(y)]
-    return intlin.rational_rank([_check_split(L, u), *cols]) >= 3
+    return intlin.rational_rank([_check_split(L, u), *y.columns]) >= 3
 
 
 def _integer_roots(a, b, c, lo, hi):
@@ -336,9 +331,8 @@ def certify_orthoisotropic_irrational(
         return IrrationalityCertificate(CERTIFIED, first, perp.rank, height)
     _check_split(L, first)
     if perp.rank == L.rank - 2:
-        cols = [c for _, c in _scaled_columns(y)]
         radical = intlin.kernel_basis(
-            [gram_column(L, c) for c in cols] + intlin.kernel_basis(cols)
+            [*(gram_column(L, c) for c in y.columns), *intlin.kernel_basis(y.columns)]
         )
         first = next(_isotropic_walk(L, radical, height), None)
         if first is None:

@@ -8,7 +8,6 @@ here are words in transvections.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import intlin
@@ -74,7 +73,7 @@ def identity_isometry(L: QuadLattice) -> Isometry:
 def apply(g: Isometry, v):
     if len(v) != g.lattice.rank:
         raise DimensionMismatch("vector length does not match the lattice")
-    return tuple(intlin.mat_vec(g.matrix, v))
+    return intlin.mat_vec(g.matrix, v)
 
 
 def compose(g: Isometry, h: Isometry) -> Isometry:
@@ -115,7 +114,7 @@ def _transvect(e, a, ge, ga, xs):
             y[i] += xe * ai
         for i, ei in e:
             y[i] -= c * ei
-        out.append(y)
+        out.append(tuple(y))
     return out
 
 
@@ -177,13 +176,10 @@ class _Frame:
 @lru_cache(maxsize=None)
 def _hyperbolic_frame(L: QuadLattice) -> _Frame:
     n = L.rank
-    e1 = None
-    for i in range(n):
-        if L.gram[i][i] == 0:
-            e1 = tuple(1 if j == i else 0 for j in range(n))
-            break
-    if e1 is None:
+    i = next((i for i in range(n) if L.gram[i][i] == 0), None)
+    if i is None:
         raise NoHyperbolicSplit("no isotropic basis vector to split at")
+    e1 = intlin.identity(n)[i]
     f1, comp = split_hyperbolic(L, e1)
     if comp.rank < 2:
         raise NoHyperbolicSplit("lattice has no second hyperbolic plane")
@@ -191,7 +187,7 @@ def _hyperbolic_frame(L: QuadLattice) -> _Frame:
     j = next((k for k in range(comp.rank) if inner_gram.gram[k][k] == 0), None)
     if j is None:
         raise NoHyperbolicSplit("no isotropic vector in the split complement")
-    e2c = tuple(1 if k == j else 0 for k in range(comp.rank))
+    e2c = intlin.identity(comp.rank)[j]
     f2c, comp2 = split_hyperbolic(inner_gram, e2c)
 
     def to_ambient(coords):
@@ -216,7 +212,7 @@ class _Reduction:
     def __init__(self, L, frame, t):
         self.L = L
         self.fr = frame
-        self.t = list(t)
+        self.t = tuple(t)
         self.word = []
 
     def coords(self):
@@ -290,7 +286,7 @@ class _Reduction:
             for x, e, f in zip(self.t, self.fr.e1, self.fr.f1)
         )
         self.emit(self.fr.f1, tuple(-x for x in w))
-        if tuple(self.t) != self.fr.e1:
+        if self.t != self.fr.e1:
             raise AssertionError("reduction did not reach the frame vector")
         return self.word
 
@@ -348,8 +344,6 @@ def map_isotropic(L: QuadLattice, u, v) -> Isometry:
         if not is_primitive(L, t):
             raise NotPrimitive("endpoints must be primitive")
     frame = _hyperbolic_frame(L)
-    if not is_even(L):
-        raise ValueError("transvections need an even lattice")
     word_u = _Reduction(L, frame, u).run()
     word_v = _Reduction(L, frame, v).run()
     word = word_u + [
@@ -368,23 +362,18 @@ def map_isotropic(L: QuadLattice, u, v) -> Isometry:
 
 
 def _columns(y):
-    """Exact columns of y: one per symbol, or y itself if it is a vector."""
-    return y.columns() if hasattr(y, "columns") else [list(y)]
+    """Integer columns of y: one per symbol, each a positive multiple of
+    the rational one, or y itself if it is a vector."""
+    return y.columns if hasattr(y, "columns") else (tuple(y),)
 
 
 def _is_multiple(vec, u):
-    ratio = None
-    for a, b in zip(vec, u):
-        if b == 0:
-            if a != 0:
-                return False
-            continue
-        r = Fraction(a) / Fraction(b)
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return False
-    return True
+    """Whether vec is a rational multiple of u, by cross-multiplication
+    against the first nonzero entry of u."""
+    k = next((i for i, b in enumerate(u) if b), None)
+    if k is None:
+        return not any(vec)
+    return all(a * u[k] == vec[k] * b for a, b in zip(vec, u))
 
 
 def is_in_gu(g: Isometry, u) -> bool:
@@ -429,10 +418,9 @@ def gu_lattice_generators(L: QuadLattice, u):
         raise NotPrimitive("u must be primitive")
     out = []
     seen = set()
-    ident = tuple(tuple(r) for r in intlin.identity(L.rank))
 
     def push(g):
-        if g.matrix != ident and g.matrix not in seen:
+        if g.matrix != intlin.identity(L.rank) and g.matrix not in seen:
             seen.add(g.matrix)
             out.append(g)
 

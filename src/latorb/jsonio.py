@@ -8,11 +8,13 @@ explicitly; the rational unit is implicit in the first coefficient column.
 
 from fractions import Fraction
 
+from .errors import DimensionMismatch
 from .irrationality import (
     UNIT,
     IrrationalityCertificate,
     Symbol,
     SymbolicRealVector,
+    from_columns,
 )
 from .isometries import Isometry
 from .lattice_core import QuadLattice, Sublattice
@@ -87,10 +89,10 @@ def symbolic_from_json(data) -> SymbolicRealVector:
     symbols = (UNIT,) + tuple(
         Symbol(d["tag"], float(d["approx"])) for d in data.get("symbols", [])
     )
-    coeffs = tuple(
-        tuple(Fraction(str(c)) for c in row) for row in data["coeffs"]
-    )
-    return SymbolicRealVector(symbols, coeffs)
+    rows = [[Fraction(str(c)) for c in row] for row in data["coeffs"]]
+    if any(len(row) != len(symbols) for row in rows):
+        raise DimensionMismatch("coefficient rows must match the symbols")
+    return from_columns(symbols, zip(*rows))
 
 
 def certificate_to_json(cert: IrrationalityCertificate):

@@ -84,8 +84,8 @@ class Sublattice:
         return len(self.basis)
 
 
-def _check_vec(L: QuadLattice, v) -> list:
-    v = [int(x) for x in v]
+def _check_vec(L: QuadLattice, v) -> tuple:
+    v = tuple([int(x) for x in v])
     if len(v) != L.rank:
         raise DimensionMismatch(
             f"vector length {len(v)} does not match lattice rank {L.rank}"
@@ -98,7 +98,7 @@ def inner(L: QuadLattice, v, w) -> int:
     return _dot(_check_vec(L, v), gram_column(L, w))
 
 
-def gram_column(L: QuadLattice, v) -> list:
+def gram_column(L: QuadLattice, v) -> tuple:
     """Pairings of v against the basis vectors, i.e. gram·v: by symmetry,
     v_j times the nonzero entries of row j, summed over the nonzero v_j."""
     out = [0] * L.rank
@@ -106,7 +106,7 @@ def gram_column(L: QuadLattice, v) -> list:
         if vj:
             for i, x in L.gram_rows[j]:
                 out[i] += x * vj
-    return out
+    return tuple(out)
 
 
 def _dot(v, w) -> int:
@@ -138,10 +138,6 @@ def is_primitive(L: QuadLattice, v) -> bool:
 
 def is_isotropic(L: QuadLattice, v) -> bool:
     return inner(L, v, v) == 0
-
-
-def height(v) -> int:
-    return max(abs(int(x)) for x in v) if len(v) else 0
 
 
 def direct_sum(*lattices: QuadLattice) -> QuadLattice:
@@ -215,8 +211,7 @@ def saturation(L: QuadLattice, S: Sublattice) -> Sublattice:
     cols = intlin.transpose([_check_vec(L, v) for v in S.basis])
     _, u = intlin.row_hnf(cols)
     uinv = intlin.integer_inverse(u)
-    sat_rows = [[uinv[i][j] for i in range(L.rank)] for j in range(S.rank)]
-    return Sublattice(intlin.hnf_basis(sat_rows))
+    return Sublattice(intlin.hnf_basis(intlin.transpose(uinv)[: S.rank]))
 
 
 def extend_to_unimodular_basis(S: Sublattice):
@@ -236,13 +231,12 @@ def extend_to_unimodular_basis(S: Sublattice):
     if h[:k] != intlin.identity(k):
         raise NotSaturated("basis does not span a saturated sublattice")
     out = intlin.integer_inverse(u)
-    if intlin.det_bareiss(out) == -1 and m > k:
-        for i in range(m):
-            out[i][m - 1] = -out[i][m - 1]
-    return tuple(tuple(r) for r in out)
+    if m > k and intlin.det_bareiss(out) == -1:
+        out = tuple(r[:-1] + (-r[-1],) for r in out)
+    return out
 
 
-def _check_split(L: QuadLattice, u) -> list:
+def _check_split(L: QuadLattice, u) -> tuple:
     """Raises unless a hyperbolic plane splits off at u; returns u."""
     u = _check_vec(L, u)
     if not is_even(L) or not is_unimodular(L):
@@ -265,13 +259,11 @@ def split_hyperbolic(L: QuadLattice, u):
     the combined basis {u, z} ∪ Lprime.basis generates the whole lattice.
     """
     u = _check_split(L, u)
-    g, coeffs = intlin.xgcd_vector(gram_column(L, u))
+    g, s = intlin.xgcd_vector(gram_column(L, u))
     if g != 1:
         raise NotPrimitive("u pairs non-trivially modulo its divisor")
-    s = coeffs
     ss = inner(L, s, s)
-    z = [si - (ss // 2) * ui for si, ui in zip(s, u)]
+    z = tuple([si - (ss // 2) * ui for si, ui in zip(s, u)])
     if inner(L, u, z) != 1 or inner(L, z, z) != 0:
         raise AssertionError("hyperbolic partner construction failed")
-    lprime = orthogonal_sublattice(L, [u, z])
-    return tuple(z), lprime
+    return z, orthogonal_sublattice(L, [u, z])

@@ -111,7 +111,7 @@ class IntegralShear:
         return len(self.b)
 
     def is_pure_shear(self):
-        return self.a == tuple(tuple(r) for r in intlin.identity(self.n))
+        return self.a == intlin.identity(self.n)
 
     def assembled(self):
         n = self.n
@@ -364,7 +364,7 @@ def _solve_b(cprime, d, mu):
     target = np.concatenate([np.zeros(k), _skew_upper(d) / mu])
     coeffs = _babai(*_lll(rows), target)
     b = np.array(coeffs, dtype=float).reshape((n, n))
-    return [[int(x) for x in row] for row in b]
+    return tuple(tuple(int(x) for x in row) for row in b)
 
 
 def approx_by_split_orbit(
@@ -417,15 +417,8 @@ def approx_by_split_orbit(
             if best is None or key < (best[0], best[1]):
                 best = (err, key[1], b, cprime, round_no)
         if best[0] <= eps:
-            return SolveResult(
-                as_tuple(best[3]),
-                tuple(tuple(r) for r in best[2]),
-                best[0],
-                best[4],
-            )
-    incumbent = SolveResult(
-        as_tuple(best[3]), tuple(tuple(r) for r in best[2]), best[0], best[4]
-    )
+            return SolveResult(as_tuple(best[3]), best[2], best[0], best[4])
+    incumbent = SolveResult(as_tuple(best[3]), best[2], best[0], best[4])
     raise DidNotConverge(
         "no shear image reached the requested accuracy within budget",
         incumbent=incumbent,

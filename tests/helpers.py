@@ -98,9 +98,9 @@ def engineered_k3_vector():
     x3[4] = 1
     y3 = [0] * 22
     y3[5] = 1
-    drop = perp.index(x3)
+    drop = perp.index(tuple(x3))
     others = [row for i, row in enumerate(perp) if i != drop]
-    assert y3 in others  # the unit column and y3 recover the dropped x3
+    assert tuple(y3) in others  # the unit column and y3 recover the dropped x3
     unit_col = [10 * (a + b) for a, b in zip(x3, y3)]
     symbols = [UNIT] + [
         Symbol(f"sqrt{t}", math.sqrt(t) / 10) for t in _SQUAREFREE
@@ -217,7 +217,7 @@ def reference_is_in_so_plus(g):
         ggv = intlin.mat_vec(gram, intlin.mat_vec(g.matrix, v))
         proj.append([sum(a * b for a, b in zip(ggv, p)) / nrm
                      for p, nrm in zip(basis, norms)])
-    mat = intlin.transpose(proj)
+    mat = [list(r) for r in intlin.transpose(proj)]
     n = len(mat)
     d = Fraction(1)
     for c in range(n):
@@ -304,7 +304,7 @@ def reference_is_u_orthoirrational(L, u, y):
     t = [[cols[j][i] for j in range(n)] for i in range(n)]
     tinv = intlin.integer_inverse(t)  # [u, z, *comp] is a Z-basis
     projected = []
-    for col in y.columns():
+    for col in rational_columns(y):
         coords = intlin.mat_vec(tinv, col)
         if coords[1] != 0:  # the z-coordinate is the pairing with u
             raise AssertionError("projection left a component along z")
@@ -471,8 +471,14 @@ def reflection(L: QuadLattice, a) -> Isometry:
     return Isometry(tuple(zip(*cols)), L)
 
 
+def rational_columns(y: SymbolicRealVector):
+    """The rational column of each symbol: its integer column over its
+    denominator."""
+    return tuple(tuple(Fraction(x, d) for x in c) for c, d in zip(y.columns, y.dens))
+
+
 def scale(y: SymbolicRealVector, factor) -> SymbolicRealVector:
     f = Fraction(factor)
-    return SymbolicRealVector(
-        y.symbols, tuple(tuple(f * x for x in row) for row in y.coeffs)
+    return from_columns(
+        y.symbols, [[f * x for x in col] for col in rational_columns(y)]
     )

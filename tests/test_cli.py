@@ -487,3 +487,23 @@ def test_each_verb_loads_only_the_packages_it_uses():
     expected = [[argv[:2], 0, False, False] for argv in EXACT_VERBS]
     expected += [[argv[:2], 0, True, False] for argv in NUMPY_VERBS]
     assert json.loads(done.stdout) == expected
+
+
+FRACTION_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "irr_fraction_cli_golden.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "case",
+    FRACTION_GOLDEN["cases"],
+    ids=lambda c: f"{c['y']}-{c['args'][1]}-{c['args'][-1]}",
+)
+def test_irr_verbs_on_p_q_coefficients_match_the_golden(capsys, case):
+    # two-symbol T4 classes whose coefficients are "p/q" strings: a rank-3
+    # class (certified) and a rank-2 class with an isotropic radical
+    # (refuted by a radical vector that is not first in the full search)
+    y = FRACTION_GOLDEN["classes"][case["y"]]
+    code, out, err = run(capsys, *case["args"], "--y", json.dumps(y))
+    assert code == 0, err
+    assert out == case["stdout"]

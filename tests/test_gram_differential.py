@@ -87,7 +87,7 @@ def test_sparse_readers_match_dense_products_on_models(model):
     rng = random.Random(n)
     unit = intlin.identity(n)
     drawn = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(4)]
-    check_readers(L, unit + drawn)
+    check_readers(L, [*unit, *drawn])
     check_readers(L, drawn)
     if model in ("t4", "k3"):
         _, comp = split_hyperbolic(L, unit[0])

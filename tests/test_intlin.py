@@ -17,7 +17,7 @@ def random_matrix(rng, rows, cols, lo=-9, hi=9):
 
 def random_unimodular(rng, n, steps=12):
     """Product of elementary shears and swaps; det is +/-1 by construction."""
-    m = intlin.identity(n)
+    m = [list(r) for r in intlin.identity(n)]
     if n < 2:
         return m
     for _ in range(steps):
@@ -69,7 +69,7 @@ def test_xgcd():
 def test_xgcd_vector():
     g, c = intlin.xgcd_vector([0, 1, 1, 0])
     assert g == 1
-    assert c == [0, 1, 0, 0]  # keeps the first usable coefficient
+    assert c == (0, 1, 0, 0)  # keeps the first usable coefficient
     rng = random.Random(2)
     for _ in range(100):
         vals = [rng.randint(-20, 20) for _ in range(rng.randint(1, 6))]
@@ -83,7 +83,7 @@ def test_row_hnf_canonical_shape():
     assert mat_eq(intlin.mat_mul(u, [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]), h)
     assert abs(intlin.det_bareiss(u)) == 1
     # cross-checked against an independent normal-form implementation
-    assert h == [[2, 0, 120], [0, 2, 20], [0, 0, 156]]
+    assert h == ((2, 0, 120), (0, 2, 20), (0, 0, 156))
 
 
 def test_row_hnf_properties():
@@ -97,7 +97,7 @@ def test_row_hnf_properties():
         assert abs(intlin.det_bareiss(u)) == 1
         # zero rows trail, pivots positive, entries above pivots reduced
         nonzero = [r for r in h if any(r)]
-        assert h == nonzero + [r for r in h if not any(r)]
+        assert list(h) == nonzero + [r for r in h if not any(r)]
         prev_pivot = -1
         for r in nonzero:
             c = next(j for j, x in enumerate(r) if x != 0)
@@ -119,10 +119,10 @@ def test_hnf_basis_is_basis_invariant():
 
 
 def test_kernel_basis_known():
-    assert intlin.kernel_basis([[1, 1, 1]]) == [[1, 0, -1], [0, 1, -1]]
-    assert intlin.kernel_basis([[0, 1, 1, 0], [1, 0, 0, 0]]) == [[0, 1, -1, 0], [0, 0, 0, 1]]
-    assert intlin.kernel_basis([]) == []
-    assert intlin.kernel_basis([[0, 0]]) == [[1, 0], [0, 1]]
+    assert intlin.kernel_basis([[1, 1, 1]]) == ((1, 0, -1), (0, 1, -1))
+    assert intlin.kernel_basis([[0, 1, 1, 0], [1, 0, 0, 0]]) == ((0, 1, -1, 0), (0, 0, 0, 1))
+    assert intlin.kernel_basis([]) == ()
+    assert intlin.kernel_basis([[0, 0]]) == ((1, 0), (0, 1))
 
 
 def test_kernel_basis_properties():
@@ -146,7 +146,7 @@ def test_rational_solve_and_inverse():
     # non-square input is rejected, not truncated
     with pytest.raises(ValueError):
         intlin.integer_inverse([[1, 2, 3]])
-    assert intlin.integer_inverse([]) == []
+    assert intlin.integer_inverse([]) == ()
     rng = random.Random(7)
     for _ in range(30):
         n = rng.randint(1, 5)

@@ -41,7 +41,7 @@ def square_matrices(entries=st.integers(-4, 4)):
 def unimodular_matrices(draw):
     """Products of drawn row shears, swaps and sign flips."""
     n = draw(st.integers(1, 6))
-    m = intlin.identity(n)
+    m = [list(r) for r in intlin.identity(n)]
     for _ in range(draw(st.integers(0, 15))):
         i = draw(st.integers(0, n - 1))
         j = draw(st.integers(0, n - 1))
@@ -76,7 +76,9 @@ def symmetric_matrices(draw):
 
 
 def as_fractions(m):
-    return [[Fraction(int(x.p), int(x.q)) for x in m.row(i)] for i in range(m.rows)]
+    return tuple(
+        tuple(Fraction(int(x.p), int(x.q)) for x in m.row(i)) for i in range(m.rows)
+    )
 
 
 @DRAWN
@@ -155,6 +157,36 @@ def test_kernel_basis_is_a_saturated_kernel_of_sympy_rank(a):
     ker = intlin.kernel_basis(a)
     assert len(ker) == len(a[0]) - sympy.Matrix(a).rank()
     for x in ker:
-        assert intlin.mat_vec(a, x) == [0] * len(a)
+        assert intlin.mat_vec(a, x) == (0,) * len(a)
     if ker:  # independent and saturated: every invariant factor is 1
         assert invariant_factors(sympy.Matrix(ker), domain=sympy.ZZ) == (1,) * len(ker)
+
+
+def is_int_tuples(m):
+    return isinstance(m, tuple) and all(
+        isinstance(r, tuple) and all(type(x) is int for x in r) for r in m
+    )
+
+
+@DRAWN
+@given(
+    matrices(st.integers(1, 5), st.integers(1, 5)),
+    unimodular_matrices(),
+    symmetric_matrices(),
+)
+def test_every_matrix_result_is_a_tuple_of_int_tuples(m, u, s):
+    n = len(m[0])
+    h, t = intlin.row_hnf(m)
+    results = [
+        intlin.identity(n),
+        intlin.transpose(m),
+        intlin.mat_mul(m, intlin.transpose(m)),
+        h,
+        t,
+        intlin.hnf_basis(m),
+        intlin.kernel_basis(m),
+        intlin.integer_inverse(u),
+        intlin.positive_basis(s),
+        (intlin.mat_vec(m, m[0]), intlin.xgcd_vector(m[0])[1]),
+    ]
+    assert all(is_int_tuples(r) for r in results)

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from helpers import (
     box_isotropic_walk,
     engineered_k3_vector,
+    rational_columns,
     reference_certify,
     reference_find_isotropic_orthogonal,
     reference_is_u_orthoirrational,
     scale,
 )
-from latorb import intlin, irrationality
+from latorb import intlin, irrationality, jsonio
 from latorb.errors import (
     DimensionMismatch,
     DomainError,
@@ -89,11 +90,13 @@ def test_symbol_validation():
     with pytest.raises(ValueError):
         Symbol("bad", float("inf"))
     with pytest.raises(ValueError):
-        SymbolicRealVector((SQRT2,), ((1,),))  # unit symbol must lead
+        SymbolicRealVector((SQRT2,), ((1,),), (1,))  # unit symbol must lead
     with pytest.raises(ValueError):
-        SymbolicRealVector((UNIT, Symbol("1", 2.0)), ((1, 1),))
+        SymbolicRealVector((UNIT, Symbol("1", 2.0)), ((1,), (1,)), (1, 1))
     with pytest.raises(Exception):
-        SymbolicRealVector((UNIT, SQRT2), ((1,),))  # ragged row
+        SymbolicRealVector((UNIT, SQRT2), ((1,),), (1,))  # a symbol without a column
+    with pytest.raises(ValueError):
+        SymbolicRealVector((UNIT,), ((2, 4),), (2,))  # 2/2, 4/2 not in lowest terms
 
 
 def test_symbolic_inner_examples():
@@ -116,7 +119,7 @@ def test_rational_constraint_lattice():
     )
     K1 = rational_constraint_lattice(T4, rational_vector(X1))
     assert K1.rank == 5
-    zero = SymbolicRealVector((UNIT,), tuple((0,) for _ in range(6)))
+    zero = SymbolicRealVector((UNIT,), ((0,) * 6,), (1,))
     assert rational_constraint_lattice(T4, zero).rank == 6
 
 
@@ -145,7 +148,7 @@ def sympy_norm_sign(L, y):
     vanishes and PrecisionError otherwise."""
     gram = sympy.Matrix(L.gram)
     cols = [sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in c])
-            for c in y.columns()]
+            for c in rational_columns(y)]
     ya = sympy.zeros(L.rank, 1)
     for s, c in zip(y.symbols, cols):
         ya += sympy.Rational(s.approx) * c
@@ -310,7 +313,7 @@ def lattice_classes(draw):
     if draw(st.booleans()):
         planes = draw(st.integers(1, 3))
         n = 2 * planes
-        w = intlin.identity(n)
+        w = [list(r) for r in intlin.identity(n)]
         for _ in range(draw(st.integers(0, 6))):
             i, j = draw(st.permutations(range(n)))[:2]
             c = draw(st.integers(-2, 2))
@@ -532,4 +535,38 @@ def test_transform_matches_matrix_action():
     moved = transform(g, Y_IRR)
     m = [list(r) for r in g.matrix]
     for j in range(2):
-        assert moved.column(j) == intlin.mat_vec(m, Y_IRR.column(j))
+        assert rational_columns(moved)[j] == intlin.mat_vec(m, rational_columns(Y_IRR)[j])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda k: st.lists(
+            st.lists(st.fractions(max_denominator=12), min_size=6, max_size=6),
+            min_size=k,
+            max_size=k,
+        )
+    ),
+    st.integers(1, 4),
+)
+def test_from_columns_is_canonical_in_its_rational_input(columns, factor):
+    # the same rational columns as Fractions, as ints where integral, and
+    # as unreduced "p/q" strings give one vector with one hash, and the
+    # JSON codec reads the strings to that vector
+    symbols = (UNIT, SQRT2, SQRT3)[: len(columns)]
+    unreduced = [
+        [f"{x.numerator * factor}/{x.denominator * factor}" for x in c] for c in columns
+    ]
+    forms = [
+        columns,
+        [[int(x) if x.denominator == 1 else x for x in c] for c in columns],
+        unreduced,
+    ]
+    vectors = [from_columns(symbols, cols) for cols in forms]
+    payload = {
+        "symbols": [{"tag": s.tag, "approx": s.approx} for s in symbols[1:]],
+        "coeffs": [list(row) for row in zip(*unreduced)],
+    }
+    vectors.append(jsonio.symbolic_from_json(payload))
+    assert all(v == vectors[0] for v in vectors)
+    assert len({hash(v) for v in vectors}) == 1

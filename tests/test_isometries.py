@@ -274,6 +274,10 @@ def test_map_isotropic_errors():
     v = tuple(1 if i == 1 else 0 for i in range(10))
     with pytest.raises(NoHyperbolicSplit):
         map_isotropic(single, u, v)
+    # an odd lattice with two hyperbolic planes fails at the frame's split
+    odd = direct_sum(UU, QuadLattice(((1,),)))
+    with pytest.raises(NoHyperbolicSplit):
+        map_isotropic(odd, (1, 0, 0, 0, 0), (0, 0, 1, 0, 0))
 
 
 def test_stabilizer_predicates():
@@ -379,24 +383,22 @@ def test_map_isotropic_takes_one_determinant_of_its_result(monkeypatch):
     assert calls.count(g.matrix) == 1
 
 
-def test_map_isotropic_checks_evenness_once(monkeypatch):
+def test_map_isotropic_makes_no_evenness_check(monkeypatch):
     # the word's steps are built from the frame and need no per-step
-    # precondition checks; evenness of the lattice is checked once per map
+    # precondition checks, and the frame's hyperbolic split already
+    # rejects every lattice that is not even unimodular, so once the frame
+    # is cached a map reads the parity of no lattice
     rng = random.Random(62)
     calls = []
-    real = isometries.is_even
-
-    def counting(L):
-        calls.append(L)
-        return real(L)
-
-    monkeypatch.setattr(isometries, "is_even", counting)
+    u, v = (random_primitive_isotropic(rng, K3) for _ in range(2))
+    map_isotropic(K3, u, v)  # builds and caches the frame
+    for module in (isometries, lattice_core):
+        monkeypatch.setattr(module, "is_even", calls.append)
     for _ in range(3):
         u = random_primitive_isotropic(rng, K3)
         v = random_primitive_isotropic(rng, K3)
-        calls.clear()
         assert apply(map_isotropic(K3, u, v), u) == v
-        assert calls == [K3]
+    assert calls == []
 
 
 def test_isometry_equality_and_hash_ignore_cached_det():

@@ -68,37 +68,86 @@ def test_no_assignment_to_imported_module_state(module):
     assert lines == [], f"{module} assigns to imported module state at {lines}"
 
 
-def _used_names(node):
-    """Names and attributes the node reads; imports alone do not count."""
-    return {
-        n.id if isinstance(n, ast.Name) else n.attr
+def _reads(node, module, name, imported):
+    """Whether node reads `module.name`, or the bare name where it is
+    bound: in its own module or after `from .module import name`."""
+    return any(
+        (
+            isinstance(n, ast.Attribute)
+            and n.attr == name
+            and isinstance(n.value, ast.Name)
+            and n.value.id == module
+        )
+        or (imported and isinstance(n, ast.Name) and n.id == name)
         for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute))
-    }
+    )
+
+
+def _imports_from(tree, module, name):
+    return any(
+        isinstance(n, ast.ImportFrom)
+        and n.level == 1
+        and n.module == module
+        and any(a.name == name for a in n.names)
+        for n in ast.walk(tree)
+    )
 
 
 def test_every_public_definition_has_a_use():
     # a public function or class either serves other code in the package or
-    # is named in the README contract; otherwise only its own tests reach it
+    # is named in the README contract; otherwise only its own tests reach it.
+    # A use is a read of `module.name`, or of the bare name in its own
+    # module or after `from .module import name`: a local variable or a
+    # parameter that shares the name elsewhere does not count.
     readme = (SRC.parents[1] / "README.md").read_text()
     documented = {
         w for span in re.findall(r"`([^`]*)`", readme) for w in re.findall(r"\w+", span)
     }
-    definitions = []
-    uses = []  # (module, top-level node name, names it reads)
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            name = getattr(node, "name", None)
-            uses.append((path.name, name, _used_names(node)))
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not name.startswith("_"):
-                definitions.append((path.name, name))
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    definitions = [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+    def used(module, name):
+        return any(
+            _reads(node, module, name, m == module or _imports_from(tree, module, name))
+            for m, tree in trees.items()
+            for node in tree.body
+            if (m, getattr(node, "name", None)) != (module, name)
+        )
+
     unused = [
         f"{module}:{name}"
         for module, name in definitions
-        if name not in documented
-        and not any(name in used for m, n, used in uses if (m, n) != (module, name))
+        if name not in documented and not used(module, name)
     ]
     assert unused == [], f"public names with no use in src/ and no README mention: {unused}"
+
+
+def _imported_modules(tree):
+    """Top-level names of the absolutely imported modules."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+def test_fractions_only_at_the_parsing_boundary():
+    # exact data is Python ints: rationals are read into integer columns
+    # over a denominator where they are parsed, and nowhere else
+    importers = {
+        path.stem
+        for path in SRC.glob("*.py")
+        if "fractions" in _imported_modules(ast.parse(path.read_text()))
+    }
+    assert importers <= {"irrationality", "jsonio"}
 
 
 def test_declared_dependencies_are_the_third_party_imports():
@@ -109,10 +158,6 @@ def test_declared_dependencies_are_the_third_party_imports():
     declared = {re.match(r"[\w.-]+", d).group() for d in project["dependencies"]}
     imported = set()
     for path in SRC.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                imported.update(a.name.split(".")[0] for a in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                imported.add(node.module.split(".")[0])
+        imported |= _imported_modules(ast.parse(path.read_text()))
     third_party = imported - set(sys.stdlib_module_names) - {"latorb"}
     assert third_party == declared

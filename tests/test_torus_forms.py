@@ -383,7 +383,7 @@ def test_wedge_base_change_to_three_hyperbolic_planes():
         for i in range(2):
             for j in range(2):
                 expect[2 * k + i][2 * k + j] = u[i][j]
-    assert changed == expect
+    assert changed == tuple(map(tuple, expect))
 
 
 def test_wedge_action_is_a_homomorphism():
