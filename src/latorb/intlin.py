@@ -8,15 +8,18 @@ every vector result an int tuple, so results can be shared and cached
 the primitives behind the lattice layer: canonical Hermite forms,
 integer kernels, ranks and exact inertia.
 
-Elimination over Z is `row_hnf` (Hermite form, rank, kernel, unimodular
-inverse, saturation).  Beside it sit the fraction-free `det_bareiss` and
-one fraction-free symmetric congruence reduction `_congruence_reduction`,
-read by `signature` (the signs of its diagonal) and `positive_basis`
-(its positive columns).
+Elimination over Z is one Hermite routine, `_hermite`.  `row_hnf` runs
+it on the rows [m | I] and so carries the unimodular transform (kernel,
+unimodular inverse, saturation); `hnf_basis` runs it on m alone (rank,
+canonical bases, independence).  Beside it sit the fraction-free
+`det_bareiss` and one fraction-free symmetric congruence reduction
+`_congruence_reduction`, read by `signature` (the signs of its diagonal)
+and `positive_basis` (its positive columns).
 """
 
 from functools import cache
 from math import gcd
+from operator import mul
 
 from .errors import DegenerateGram
 
@@ -32,11 +35,11 @@ def transpose(m):
 
 def mat_mul(a, b):
     bt = tuple(zip(*b))
-    return tuple(tuple([sum(x * y for x, y in zip(row, col)) for col in bt]) for row in a)
+    return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
 
 
 def mat_vec(m, v):
-    return tuple([sum(x * y for x, y in zip(row, v)) for row in m])
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def det_bareiss(m):
@@ -120,55 +123,66 @@ def vector_gcd(v):
     return g
 
 
-def row_hnf(m):
-    """Canonical row-style Hermite normal form.
+def _hermite(rows, ncols):
+    """Row-style Hermite elimination of the scratch rows in place,
+    pivoting in their first ncols columns; returns the rank.
 
-    Returns (h, u) with h = u·m, u unimodular; pivots positive, entries above
-    each pivot reduced into [0, pivot), zero rows last.
+    Any columns past ncols ride along with every row step, so rows
+    augmented by the identity carry the unimodular transform.
     """
-    if not m:
-        return (), ()
-    h = [list(row) for row in m]
-    nrows, ncols = len(h), len(h[0])
-    u = [list(row) for row in identity(nrows)]
+    nrows = len(rows)
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if h[i][c] != 0), None)
+        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
         if piv is None:
             continue
-        h[r], h[piv] = h[piv], h[r]
-        u[r], u[piv] = u[piv], u[r]
+        rows[r], rows[piv] = rows[piv], rows[r]
         for i in range(r + 1, nrows):
-            if h[i][c] == 0:
+            if rows[i][c] == 0:
                 continue
-            g, x, y = xgcd(h[r][c], h[i][c])
-            p, q = h[r][c] // g, h[i][c] // g
-            h[r], h[i] = (
-                [x * a + y * b for a, b in zip(h[r], h[i])],
-                [-q * a + p * b for a, b in zip(h[r], h[i])],
+            g, x, y = xgcd(rows[r][c], rows[i][c])
+            p, q = rows[r][c] // g, rows[i][c] // g
+            rows[r], rows[i] = (
+                [x * a + y * b for a, b in zip(rows[r], rows[i])],
+                [-q * a + p * b for a, b in zip(rows[r], rows[i])],
             )
-            u[r], u[i] = (
-                [x * a + y * b for a, b in zip(u[r], u[i])],
-                [-q * a + p * b for a, b in zip(u[r], u[i])],
-            )
-        if h[r][c] < 0:
-            h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
         for i in range(r):
-            f = h[i][c] // h[r][c]
+            f = rows[i][c] // rows[r][c]
             if f != 0:
-                h[i] = [a - f * b for a, b in zip(h[i], h[r])]
-                u[i] = [a - f * b for a, b in zip(u[i], u[r])]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         r += 1
-    return tuple(map(tuple, h)), tuple(map(tuple, u))
+    return r
+
+
+def row_hnf(m):
+    """Canonical row-style Hermite normal form.
+
+    Returns (h, u) with h = u·m, u unimodular; pivots positive, entries above
+    each pivot reduced into [0, pivot), zero rows last.  The rows [m | I]
+    are eliminated in m's columns and split into h and u.
+    """
+    if not m:
+        return (), ()
+    ncols = len(m[0])
+    rows = [[*row, *e] for row, e in zip(m, identity(len(m)))]
+    _hermite(rows, ncols)
+    return (
+        tuple(tuple(row[:ncols]) for row in rows),
+        tuple(tuple(row[ncols:]) for row in rows),
+    )
 
 
 def hnf_basis(rows):
-    """Canonical basis (HNF rows) of the lattice spanned by integer rows."""
-    h, _ = row_hnf(rows)
-    return tuple(row for row in h if any(row))
+    """Canonical basis (HNF rows) of the lattice spanned by integer rows:
+    the nonzero rows of `row_hnf`, eliminated without the transform."""
+    if not rows:
+        return ()
+    h = [list(row) for row in rows]
+    return tuple(map(tuple, h[: _hermite(h, len(h[0]))]))
 
 
 def kernel_basis(a):

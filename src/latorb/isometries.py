@@ -37,7 +37,7 @@ class Isometry:
     lattice: QuadLattice
 
     def __post_init__(self):
-        m = tuple(tuple(int(x) for x in row) for row in self.matrix)
+        m = tuple(tuple(map(int, row)) for row in self.matrix)
         object.__setattr__(self, "matrix", m)
         n = self.lattice.rank
         if len(m) != n or any(len(row) != n for row in m):
@@ -54,7 +54,9 @@ class Isometry:
 
     @cached_property
     def det(self):
-        return intlin.det_bareiss(self.matrix)
+        """det M, cached.  The form check in `__post_init__` makes it ±1,
+        so `_det_mod3` decides it without a Bareiss determinant."""
+        return 1 if _det_mod3(self.matrix) == 1 else -1
 
     @cached_property
     def so_plus(self):
@@ -64,6 +66,33 @@ class Isometry:
         basis, columns = _positive_frame(self.lattice)
         images = [intlin.mat_vec(self.matrix, p) for p in basis]
         return intlin.det_bareiss([[_dot(gp, c) for c in columns] for gp in images]) > 0
+
+
+def _det_mod3(m):
+    """det m mod 3, by elimination over Z/3.
+
+    For an isometry this decides the determinant exactly: MᵀGM = G with
+    det G ≠ 0 forces det M = ±1, and 1 ≢ −1 (mod 3).  Each step moves the
+    first row k with a nonzero leading entry p to the top, a cyclic shift
+    of k + 1 rows with sign (−1)^k, and clears the first column below it;
+    p⁻¹ = p mod 3, so each other row i loses a_i0·p times row k.
+    """
+    a = [[x % 3 for x in row] for row in m]
+    d = 1
+    while a:
+        k = next((i for i, row in enumerate(a) if row[0]), None)
+        if k is None:
+            return 0
+        p = a.pop(k)
+        d *= -p[0] if k % 2 else p[0]
+        rest = p[1:]
+        a = [
+            [(x - f * y) % 3 for x, y in zip(row[1:], rest)]
+            if (f := row[0] * p[0])
+            else row[1:]
+            for row in a
+        ]
+    return d % 3
 
 
 def identity_isometry(L: QuadLattice) -> Isometry:

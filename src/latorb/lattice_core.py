@@ -38,7 +38,7 @@ class QuadLattice:
     gram: tuple
 
     def __post_init__(self):
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
+        g = tuple(tuple(map(int, row)) for row in self.gram)
         object.__setattr__(self, "gram", g)
         n = len(g)
         if any(len(row) != n for row in g):
@@ -71,7 +71,7 @@ class Sublattice:
     basis: tuple
 
     def __post_init__(self):
-        b = tuple(tuple(int(x) for x in row) for row in self.basis)
+        b = tuple(tuple(map(int, row)) for row in self.basis)
         object.__setattr__(self, "basis", b)
         if b:
             if len({len(row) for row in b}) != 1:
@@ -85,7 +85,7 @@ class Sublattice:
 
 
 def _check_vec(L: QuadLattice, v) -> tuple:
-    v = tuple([int(x) for x in v])
+    v = tuple(map(int, v))
     if len(v) != L.rank:
         raise DimensionMismatch(
             f"vector length {len(v)} does not match lattice rank {L.rank}"

@@ -109,6 +109,54 @@ def engineered_k3_vector():
     return K3, from_columns(symbols, columns)
 
 
+def reference_row_hnf(m):
+    """`intlin.row_hnf` as it was before its elimination became one routine
+    shared with `hnf_basis`: h and the transform u as two lists of rows,
+    every step applied to both.  The oracle that pins u, which is not
+    unique on rank-deficient input.
+
+    Returns (h, u) with h = u·m, u unimodular; pivots positive, entries above
+    each pivot reduced into [0, pivot), zero rows last.
+    """
+    if not m:
+        return (), ()
+    h = [list(row) for row in m]
+    nrows, ncols = len(h), len(h[0])
+    u = [list(row) for row in intlin.identity(nrows)]
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if h[i][c] != 0), None)
+        if piv is None:
+            continue
+        h[r], h[piv] = h[piv], h[r]
+        u[r], u[piv] = u[piv], u[r]
+        for i in range(r + 1, nrows):
+            if h[i][c] == 0:
+                continue
+            g, x, y = intlin.xgcd(h[r][c], h[i][c])
+            p, q = h[r][c] // g, h[i][c] // g
+            h[r], h[i] = (
+                [x * a + y * b for a, b in zip(h[r], h[i])],
+                [-q * a + p * b for a, b in zip(h[r], h[i])],
+            )
+            u[r], u[i] = (
+                [x * a + y * b for a, b in zip(u[r], u[i])],
+                [-q * a + p * b for a, b in zip(u[r], u[i])],
+            )
+        if h[r][c] < 0:
+            h[r] = [-x for x in h[r]]
+            u[r] = [-x for x in u[r]]
+        for i in range(r):
+            f = h[i][c] // h[r][c]
+            if f != 0:
+                h[i] = [a - f * b for a, b in zip(h[i], h[r])]
+                u[i] = [a - f * b for a, b in zip(u[i], u[r])]
+        r += 1
+    return tuple(map(tuple, h)), tuple(map(tuple, u))
+
+
 def reference_lll(rows, delta=0.99):
     """Float LLL that recomputes the whole Gram–Schmidt data after every
     change to the basis: the oracle the row-by-row `_lll` must match bit

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from helpers import engineered_k3_vector, run_python
-from latorb import intlin, jsonio
+from latorb import intlin, isometries, jsonio
 from latorb.cli import main
 
 T4_U = "[1,0,0,0,0,0]"
@@ -132,21 +132,27 @@ def test_transvection_then_check_round_trip(capsys):
 
 
 def test_isom_check_projects_onto_the_positive_frame_once(capsys, monkeypatch):
-    # so_plus, in_gu, in_hy and in_ky share one SO⁺ verdict: the 2×2 and
-    # 6×6 determinants of the model and of g, plus one 3×3 projection
+    # so_plus, in_gu, in_hy and in_ky share one SO⁺ verdict: the Bareiss
+    # determinants of the model's 2×2 blocks and 6×6 Gram, one 3×3
+    # projection, and one determinant of g, taken mod 3
     g = run_json(
         capsys,
         "isom", "transvect", "--model", "t4",
         "--e", T4_U, "--a", "[0,0,0,1,0,0]",
     )
-    sizes = []
-    real = intlin.det_bareiss
+    sizes, mod3_sizes = [], []
+    real, real_mod3 = intlin.det_bareiss, isometries._det_mod3
 
     def counted(m):
         sizes.append(len(m))
         return real(m)
 
+    def counted_mod3(m):
+        mod3_sizes.append(len(m))
+        return real_mod3(m)
+
     monkeypatch.setattr(intlin, "det_bareiss", counted)
+    monkeypatch.setattr(isometries, "_det_mod3", counted_mod3)
     result = run_json(
         capsys,
         "isom", "check", "--model", "t4",
@@ -155,7 +161,8 @@ def test_isom_check_projects_onto_the_positive_frame_once(capsys, monkeypatch):
     assert result == {
         "det": 1, "so_plus": True, "in_gu": True, "in_hy": False, "in_ky": True
     }
-    assert sorted(sizes) == [2, 2, 2, 3, 6, 6]
+    assert sorted(sizes) == [2, 2, 2, 3, 6]
+    assert mod3_sizes == [6]
 
 def test_map_isotropic_verb(capsys):
     g = run_json(

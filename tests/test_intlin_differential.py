@@ -1,7 +1,8 @@
 """Exact elimination in `intlin` against sympy's exact matrix algebra on
 hypothesis-drawn integer matrices, and the congruence reduction behind
 `signature` against the older Schur-complement reduction kept in
-`helpers.reference_signature`."""
+`helpers.reference_signature`, and the Hermite form with its transform
+against the two-matrix elimination kept in `helpers.reference_row_hnf`."""
 
 from fractions import Fraction
 
@@ -11,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
-from helpers import reference_signature
+from helpers import reference_row_hnf, reference_signature
 from latorb import intlin
 from latorb.errors import DegenerateGram
-from latorb.lattice_core import Sublattice
+from latorb.lattice_core import Sublattice, extend_to_unimodular_basis
 
 DRAWN = settings(max_examples=150, deadline=None)
 
@@ -73,6 +74,20 @@ def symmetric_matrices(draw):
             row[j] = row[i]
         s = intlin.mat_mul(intlin.mat_mul(intlin.transpose(w), s), w)
     return s
+
+
+@st.composite
+def hermite_inputs(draw):
+    """Integer matrices of 1–8 rows and columns, entries −3..3 with half
+    of them zero; when flagged and there are three rows or more, the last
+    row is the sum of the first two, so the rank drops."""
+    r = draw(st.integers(1, 8))
+    c = draw(st.integers(1, 8))
+    entry = st.sampled_from((0, 0, 0, 0, 0, 0, -3, -2, -1, 1, 2, 3))
+    m = [[draw(entry) for _ in range(c)] for _ in range(r)]
+    if r >= 3 and draw(st.booleans()):
+        m[-1] = [a + b for a, b in zip(m[0], m[1])]
+    return m
 
 
 def as_fractions(m):
@@ -190,3 +205,29 @@ def test_every_matrix_result_is_a_tuple_of_int_tuples(m, u, s):
         (intlin.mat_vec(m, m[0]), intlin.xgcd_vector(m[0])[1]),
     ]
     assert all(is_int_tuples(r) for r in results)
+
+
+@DRAWN
+@given(hermite_inputs())
+def test_row_hnf_and_hnf_basis_match_the_reference_elimination(m):
+    h, u = reference_row_hnf(m)
+    assert intlin.row_hnf(m) == (h, u)
+    assert intlin.hnf_basis(m) == tuple(row for row in h if any(row))
+
+
+@DRAWN
+@given(hermite_inputs(), st.data())
+def test_unimodular_completion_matches_the_reference_elimination(m, data):
+    # the leading rows of a unimodular transform span a saturated
+    # sublattice; its completion is u⁻¹ for the Hermite transform u of the
+    # basis columns, and the inverse of a unimodular u is the transform
+    # that brings u to I
+    _, w = reference_row_hnf(m)
+    k = data.draw(st.integers(1, len(w)))
+    basis = w[:k]
+    _, u = reference_row_hnf(intlin.transpose(basis))
+    ident, out = reference_row_hnf(u)
+    assert ident == intlin.identity(len(u))
+    if len(w) > k and intlin.det_bareiss(out) == -1:
+        out = tuple(r[:-1] + (-r[-1],) for r in out)
+    assert extend_to_unimodular_basis(Sublattice(basis)) == out

@@ -367,20 +367,27 @@ def test_map_isotropic_result_outside_so_plus_is_a_tripwire(monkeypatch):
 
 def test_map_isotropic_takes_one_determinant_of_its_result(monkeypatch):
     # the det check in map_isotropic and the one in is_in_so_plus share
-    # the cached determinant of the result
+    # the cached determinant of the result, taken mod 3; no Bareiss
+    # determinant of the result is taken
     rng = random.Random(61)
     u = random_primitive_isotropic(rng, K3)
     v = random_primitive_isotropic(rng, K3)
-    calls = []
-    real = intlin.det_bareiss
+    mod3, bareiss = [], []
+    real_mod3, real_bareiss = isometries._det_mod3, intlin.det_bareiss
 
-    def counting(m):
-        calls.append(m)
-        return real(m)
+    def counting_mod3(m):
+        mod3.append(m)
+        return real_mod3(m)
 
-    monkeypatch.setattr(intlin, "det_bareiss", counting)
+    def counting_bareiss(m):
+        bareiss.append(m)
+        return real_bareiss(m)
+
+    monkeypatch.setattr(isometries, "_det_mod3", counting_mod3)
+    monkeypatch.setattr(intlin, "det_bareiss", counting_bareiss)
     g = map_isotropic(K3, u, v)
-    assert calls.count(g.matrix) == 1
+    assert mod3 == [g.matrix]
+    assert g.matrix not in bareiss
 
 
 def test_map_isotropic_makes_no_evenness_check(monkeypatch):
@@ -399,6 +406,35 @@ def test_map_isotropic_makes_no_evenness_check(monkeypatch):
         v = random_primitive_isotropic(rng, K3)
         assert apply(map_isotropic(K3, u, v), u) == v
     assert calls == []
+
+
+def test_det_mod_3_matches_bareiss_mod_3():
+    rng = random.Random(64)
+    for _ in range(400):
+        n = rng.randint(0, 7)
+        m = [[rng.choice((0, 0, 0, -3, -2, -1, 1, 2, 3, 4)) for _ in range(n)]
+             for _ in range(n)]
+        assert isometries._det_mod3(m) == intlin.det_bareiss(m) % 3
+
+
+@pytest.mark.parametrize("L", [T4, K3], ids=["t4", "k3"])
+def test_isometry_det_matches_bareiss_at_both_signs(L):
+    # (u ± z, u ± z) = ±2 for the hyperbolic partner z of u, so the
+    # reflections in u + z and v − w are integral and of determinant −1
+    rng = random.Random(65)
+    seen = set()
+    for _ in range(4):
+        u = random_primitive_isotropic(rng, L)
+        v = random_primitive_isotropic(rng, L)
+        z, _ = split_hyperbolic(L, u)
+        w, _ = split_hyperbolic(L, v)
+        r1 = reflection(L, [a + b for a, b in zip(u, z)])
+        r2 = reflection(L, [a - b for a, b in zip(v, w)])
+        t = eichler_transvection(L, u, intlin.kernel_basis([gram_column(L, u)])[0])
+        for g in (map_isotropic(L, u, v), r1, r2, compose(r1, r2), compose(r1, t)):
+            assert g.det == intlin.det_bareiss(g.matrix)
+            seen.add(g.det)
+    assert seen == {1, -1}
 
 
 def test_isometry_equality_and_hash_ignore_cached_det():
