@@ -157,7 +157,7 @@ def _cmd_isom_map_isotropic(args):
 def _cmd_isom_check(args):
     L = _lattice_of(args)
     g = jsonio.isometry_from_json(_load_json(args.g), L)
-    out = {"det": g.det, "so_plus": is_in_so_plus(g)}
+    out = {"det": g.det, "so_plus": g.det == 1 and is_in_so_plus(g)}
     if args.u:
         u = _vector(args.u)
         out["in_gu"] = is_in_gu(g, u)

@@ -5,10 +5,13 @@ complementary pair (l, l′), the block matrix [[0, −Cᵀ], [C, D]] with C
 invertible and D skew.  Integral shears [[I, B], [0, A]] act by congruence;
 the solver below drives D towards 0 along that action, which is the
 effective content of the density statement for split forms.  Everything
-here is floating point except the exterior-square bridge at the bottom,
-which is exact integer arithmetic.
+here is floating point except three parts in exact integer arithmetic: the
+solver's lift of a reduced basis from one embedding weight to the next, its
+bound on the residual it reports, and the exterior-square bridge at the
+bottom.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +32,8 @@ DET_TOL = 1e-10
 VANISH_TOL = 1e-12
 LLL_DELTA = 0.99
 # Bound on the loop steps of one `_lll` call.  The seeded solver targets
-# at n = 2 and 3 take at most 1140, so reaching it means the loop does not
-# terminate, not that the input is large.
+# at n = 2 / 3 / 4 take at most 27 / 217 / 980, so reaching it means the
+# loop does not terminate, not that the input is large.
 LLL_MAX_STEPS = 200_000
 
 
@@ -347,24 +350,81 @@ def _skew_upper(m):
     return np.array([m[i, j] for i in range(n) for j in range(i + 1, n)])
 
 
-def _solve_b(cprime, d, mu):
-    """Best integer B (via scaled-embedding CVP) for one weight μ."""
-    n = cprime.shape[0]
-    dirs = []
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n))
-            e[i, j] = 1.0
-            cb = cprime @ e
-            dirs.append(_skew_upper(cb - cb.T))
+def _over_common_denominator(rows):
+    """Float rows as integer rows over one power-of-two denominator: every
+    float is a dyadic rational, so the largest denominator serves them all."""
+    ratios = [[float(x).as_integer_ratio() for x in row] for row in rows]
+    den = max(q for row in ratios for _, q in row)
+    return [[p * (den // q) for p, q in row] for row in ratios], den
+
+
+def _directions(cprime):
+    """Skew-upper coordinates of C′E_ij − (C′E_ij)ᵀ, one row per entry of B
+    in row-major order, as integer rows over one denominator.  Coordinate
+    (a, b) is C′_ai if b = j, −C′_bi if a = j, and 0 otherwise, so the rows
+    are exact."""
+    n = len(cprime)
+    c, den = _over_common_denominator(cprime)
+    dirs = tuple(
+        tuple(
+            (c[a][i] if b == j else 0) - (c[b][i] if a == j else 0)
+            for a in range(n)
+            for b in range(a + 1, n)
+        )
+        for i in range(n)
+        for j in range(n)
+    )
+    return dirs, den
+
+
+def _lifted_rows(u, dirs, den, mu):
+    """Rows of U·[μI | dirs/μ], each entry rounded once from its exact value
+    (an integer quotient, which Python rounds correctly)."""
+    p, q = mu.as_integer_ratio()
+    return [
+        np.array([x * p / q for x in row] + [s * q / (den * p) for s in srow])
+        for row, srow in zip(u, intlin.mat_mul(u, dirs))
+    ]
+
+
+_WEIGHTS = tuple(10.0 ** (-e) for e in range(10))
+
+
+def _ladder(cprime, d):
+    """Candidate B for each embedding weight μ = 10⁰ … 10⁻⁹.
+
+    At weight μ a lattice point c·[μI | dirs/μ] is near the target
+    [0 | D/μ] when C′B − (C′B)ᵀ, with B the entries of c, is near D; Babai
+    on the reduced basis gives c.  From one weight to the next the lattice
+    changes only by scaling the dirs block by 100 (up to an overall
+    factor), so each rung starts from the previous rung's reduced basis,
+    U·[μI | dirs/μ] with U the integer transform so far, instead of the
+    raw embedding, and LLL only repairs what the rescaling disturbed.
+    """
+    n = len(cprime)
     k = n * n
-    rows = []
-    for idx in range(k):
-        rows.append(np.concatenate([mu * np.eye(k)[idx], dirs[idx] / mu]))
-    target = np.concatenate([np.zeros(k), _skew_upper(d) / mu])
-    coeffs = _babai(*_lll(rows), target)
-    b = np.array(coeffs, dtype=float).reshape((n, n))
-    return tuple(tuple(int(x) for x in row) for row in b)
+    dirs, den = _directions(cprime)
+    rhs = _skew_upper(d)
+    u = intlin.identity(k)
+    for mu in _WEIGHTS:
+        reduced, t, star, norms = _lll(_lifted_rows(u, dirs, den, mu))
+        u = intlin.mat_mul(t, u)
+        target = np.concatenate([np.zeros(k), rhs / mu])
+        coeffs = _babai(reduced, u, star, norms, target)
+        yield tuple(tuple(coeffs[i * n : (i + 1) * n]) for i in range(n))
+
+
+def _residual_bound(cprime, b, d):
+    """Smallest float ≥ max|C′B − (C′B)ᵀ − D|, from exact integers."""
+    n = len(b)
+    ints, den = _over_common_denominator([*cprime, *d])
+    cb = intlin.mat_mul(ints[:n], b)
+    top = max(
+        abs(cb[i][j] - cb[j][i] - ints[n + i][j]) for i in range(n) for j in range(n)
+    )
+    bound = top / den
+    p, q = bound.as_integer_ratio()
+    return bound if p * den >= top * q else math.nextafter(bound, math.inf)
 
 
 def approx_by_split_orbit(
@@ -374,9 +434,11 @@ def approx_by_split_orbit(
 
     Each round perturbs C within delta (re-normalized to determinant 1)
     and walks a ladder of embedding weights, asking lattice reduction for
-    an integer B with C′B − (C′B)ᵀ close to D.  The reported error is
-    always recomputed from the returned data.  Terminates early once the
-    incumbent error reaches eps; otherwise exhausts the budget and raises,
+    an integer B with C′B − (C′B)ᵀ close to D; the candidate with the
+    smallest float error is kept.  The reported error is the smallest
+    float ≥ the exact residual of the returned data, evaluated in integers
+    once per round in which the incumbent changed.  Terminates early once
+    that error reaches eps; otherwise exhausts the budget and raises,
     carrying the best incumbent found.
     """
     if not (0 < eps < np.inf and 0 <= delta < np.inf):
@@ -408,17 +470,18 @@ def approx_by_split_orbit(
                     break
             else:
                 cprime = c
-        for mu in [10.0 ** (-e) for e in range(0, 10)]:
-            b = _solve_b(cprime, d, mu)
+        for b in _ladder(cprime, d):
             bm = np.array(b, dtype=float)
             cb = cprime @ bm
             err = float(np.max(np.abs((cb - cb.T) - d)))
             key = (err, tuple(x for row in b for x in row))
             if best is None or key < (best[0], best[1]):
                 best = (err, key[1], b, cprime, round_no)
-        if best[0] <= eps:
-            return SolveResult(as_tuple(best[3]), best[2], best[0], best[4])
-    incumbent = SolveResult(as_tuple(best[3]), best[2], best[0], best[4])
+        if best[4] == round_no:
+            bound = _residual_bound(best[3], best[2], d)
+        if bound <= eps:
+            return SolveResult(as_tuple(best[3]), best[2], bound, best[4])
+    incumbent = SolveResult(as_tuple(best[3]), best[2], bound, best[4])
     raise DidNotConverge(
         "no shear image reached the requested accuracy within budget",
         incumbent=incumbent,

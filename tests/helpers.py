@@ -212,6 +212,38 @@ def reference_gso(rows):
     return star
 
 
+def reference_lifted_rows(u, cprime, mu):
+    """Rows of U·[μI | dirs/μ] for the solver's embedding at weight μ, each
+    entry the float nearest its exact value, in Fractions: row i·n + j of
+    dirs is the upper triangle of C′E_ij − (C′E_ij)ᵀ, row by row."""
+    n = len(cprime)
+    c = [[Fraction(x) for x in row] for row in cprime]
+    dirs = []
+    for i, j in itertools.product(range(n), repeat=2):
+        e = [[int((r, s) == (i, j)) for s in range(n)] for r in range(n)]
+        cb = [[sum(c[a][t] * e[t][b] for t in range(n)) for b in range(n)] for a in range(n)]
+        dirs.append([cb[a][b] - cb[b][a] for a in range(n) for b in range(a + 1, n)])
+    m = Fraction(mu)
+    return [
+        [float(m * x) for x in row]
+        + [float(sum(x * w[col] for x, w in zip(row, dirs)) / m) for col in range(len(dirs[0]))]
+        for row in u
+    ]
+
+
+def exact_skew_residual(cprime, b, d):
+    """max|C′B − (C′B)ᵀ − D| in Fractions, from the given floats and ints."""
+    n = len(b)
+    c = [[Fraction(x) for x in row] for row in cprime]
+    cb = [[sum(c[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return max(abs(cb[i][j] - cb[j][i] - Fraction(d[i][j])) for i in range(n) for j in range(n))
+
+
+def is_least_float_bound(x, exact):
+    """x is the smallest float ≥ the rational exact."""
+    return Fraction(x) >= exact and Fraction(math.nextafter(x, -math.inf)) < exact
+
+
 def reference_positive_basis(gram):
     """Rational basis of a maximal positive subspace by symmetric column
     reduction in Fraction arithmetic, as `positive_basis` computed it

@@ -131,6 +131,24 @@ def test_transvection_then_check_round_trip(capsys):
     assert result == {"det": 1, "so_plus": True, "in_gu": True}
 
 
+def test_isom_check_reports_determinant_minus_one(capsys):
+    # swapping the first hyperbolic pair of T⁴ preserves the form and has
+    # determinant −1: it is reported, with no SO⁺ or stabilizer membership
+    swap = [list(r) for r in intlin.identity(6)]
+    swap[0], swap[1] = swap[1], swap[0]
+    g = json.dumps(swap)
+    result = run_json(capsys, "isom", "check", "--model", "t4", "--g", g)
+    assert result == {"det": -1, "so_plus": False}
+    result = run_json(
+        capsys,
+        "isom", "check", "--model", "t4",
+        "--g", g, "--u", "[0,0,1,0,0,0]", "--y", SYMBOLIC_Y,
+    )
+    assert result == {
+        "det": -1, "so_plus": False, "in_gu": False, "in_hy": False, "in_ky": False
+    }
+
+
 def test_isom_check_projects_onto_the_positive_frame_once(capsys, monkeypatch):
     # so_plus, in_gu, in_hy and in_ky share one SO⁺ verdict: the Bareiss
     # determinants of the model's 2×2 blocks and 6×6 Gram, one 3×3

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_gso, reference_lll
+from helpers import reference_gso, reference_lifted_rows, reference_lll
 from latorb import intlin, torus_forms as tf
 
 
@@ -90,10 +90,47 @@ def checked_lll(monkeypatch):
 
 @pytest.mark.parametrize("n, seed", [(2, 0), (2, 1), (3, 0)])
 def test_lll_matches_reference_on_solver_embeddings(checked_lll, n, seed):
+    # a whole solve: the raw embedding at μ = 1, then each rung's lifted
+    # reduced basis
     c, d = _random_target(random.Random(f"lll-{n}-{seed}"), n)
-    for e in range(10):
-        tf._solve_b(c, d, 10.0 ** (-e))
-    assert checked_lll == [n * n] * 10
+    res = tf.approx_by_split_orbit(tf.SplitBlockForm(c, d), 1e-6, 0.1)
+    assert checked_lll == [n * n] * (len(tf._WEIGHTS) * res.rounds)
+
+
+@st.composite
+def lift_inputs(draw):
+    """C′ with entries over many binades, and an integer unimodular U of
+    the embedding's size with entries up to about 1e6."""
+    n = draw(st.integers(2, 3))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    cprime = [
+        [rng.choice((-1, 1)) * rng.uniform(0.5, 2) * 2.0 ** rng.randint(-30, 4)
+         for _ in range(n)]
+        for _ in range(n)
+    ]
+    k = n * n
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(draw(st.integers(0, 60))):
+        i, j = rng.sample(range(k), 2)
+        q = rng.randint(-3, 3)
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        if max(map(abs, u[i])) > 10**6:
+            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+    if draw(st.booleans()):
+        u.reverse()
+    return cprime, u
+
+
+@DRAWN
+@given(lift_inputs())
+def test_lifted_rows_are_exactly_rounded(inputs):
+    # each rung starts from U·[μI | dirs/μ], every entry the float nearest
+    # its exact value; at U = I, μ = 1 that is the raw embedding
+    cprime, u = inputs
+    dirs, den = tf._directions(np.array(cprime))
+    for mu in tf._WEIGHTS:
+        rows = tf._lifted_rows(u, dirs, den, mu)
+        assert [list(r) for r in rows] == reference_lifted_rows(u, cprime, mu)
 
 
 def _relation_embedding(c):

@@ -1,12 +1,21 @@
+import hashlib
 import itertools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import compose_shears, darboux, standard_complement, standard_lagrangian
+from helpers import (
+    compose_shears,
+    darboux,
+    exact_skew_residual,
+    is_least_float_bound,
+    standard_complement,
+    standard_lagrangian,
+)
 from latorb import intlin, torus_forms as tf
 from latorb.errors import (
     DegenerateGram,
@@ -239,9 +248,8 @@ def test_solver_hits_integer_targets_exactly():
         f = tf.SplitBlockForm(c, d)
         res = tf.approx_by_split_orbit(f, 1e-9, 0.0, budget=1)
         assert res.err <= 1e-9
-        bm = np.array(res.b, dtype=float)
-        cbm = np.array(res.cprime) @ bm
-        assert np.max(np.abs((cbm - cbm.T) - d)) == res.err
+        # err is the least float bound on the exact residual of the output
+        assert is_least_float_bound(res.err, exact_skew_residual(res.cprime, res.b, d))
 
 
 def test_solver_refuses_unreachable_discrete_target():
@@ -285,12 +293,10 @@ def test_solver_output_is_self_consistent():
     )
     res = tf.approx_by_split_orbit(f, 1e-2, 0.1, budget=12, seed=3)
     cp = np.array(res.cprime)
-    bm = np.array(res.b, dtype=float)
     assert res.err <= 1e-2
     assert np.max(np.abs(cp - f.c)) <= 0.1
     assert abs(np.linalg.det(cp) - 1.0) <= 1e-9
-    cb = cp @ bm
-    assert float(np.max(np.abs((cb - cb.T) - f.d))) == res.err
+    assert is_least_float_bound(res.err, exact_skew_residual(res.cprime, res.b, f.d))
 
 
 def test_solver_is_deterministic():
@@ -332,11 +338,27 @@ def _hex(m):
     return [[float(x).hex() for x in row] for row in m]
 
 
+# sha256 of the recorded inputs, [[C, D], ...] in hex as first recorded:
+# a re-record of the outputs must leave the inputs byte for byte alone
+GOLDEN_INPUTS_SHA256 = "bb90518ac592b5547c40e2380f637e8b31da1d2efaeb56de10fa9c72818baeff"
+
+
 def test_solver_golden_outputs():
-    # exact floats and integers of the solver, as recorded before the
-    # reduction kept its Gram–Schmidt data row by row
+    # exact floats and integers of the solver at eps 1e-6, δ 0.1
+    inputs = json.dumps([[case["C"], case["D"]] for case in GOLDEN["solves"]])
+    assert hashlib.sha256(inputs.encode()).hexdigest() == GOLDEN_INPUTS_SHA256
     for case in GOLDEN["solves"]:
-        f = tf.SplitBlockForm(_unhex(case["C"]), _unhex(case["D"]))
+        # every recorded answer is a true one: err bounds its exact
+        # residual tightly, converged answers meet eps, C′ is within δ
+        c, d = _unhex(case["C"]), _unhex(case["D"])
+        exact = exact_skew_residual(_unhex(case["cprime"]), case["b"], d)
+        assert is_least_float_bound(float.fromhex(case["err"]), exact)
+        assert exact <= 1e-6 or not case["converged"]
+        assert max(
+            abs(Fraction(x) - Fraction(y))
+            for x, y in zip(_unhex(case["cprime"]).flat, c.flat)
+        ) <= 0.1
+        f = tf.SplitBlockForm(c, d)
         try:
             res = tf.approx_by_split_orbit(f, 1e-6, 0.1)
             converged = True
