@@ -157,7 +157,7 @@ def _cmd_isom_map_isotropic(args):
 def _cmd_isom_check(args):
     L = _lattice_of(args)
     g = jsonio.isometry_from_json(_load_json(args.g), L)
-    out = {"det": g.det, "so_plus": g.det == 1 and is_in_so_plus(g)}
+    out = {"det": g.det, "so_plus": is_in_so_plus(g)}
     if args.u:
         u = _vector(args.u)
         out["in_gu"] = is_in_gu(g, u)
@@ -268,10 +268,7 @@ def _cmd_explore(args):
         orbit_explorer.HyperboloidPoint(tuple(float(x) for x in t))
         for t in _load_json(args.targets)
     ]
-    tol = orbit_explorer.DEDUP_TOL if args.dedup_tol is None else args.dedup_tol
-    records = orbit_explorer.explore(
-        L, u, y0, targets, args.depth, seed=args.seed, dedup_tol=tol
-    )
+    records = orbit_explorer.explore(L, u, y0, targets, args.depth, seed=args.seed)
     if args.format == "csv":
         sys.stdout.write(orbit_explorer.records_to_csv(records))
         return
@@ -399,8 +396,6 @@ def build_parser():
     p.add_argument("--targets", required=True, help="JSON list of float vectors")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    # None stands for orbit_explorer.DEDUP_TOL, read by _cmd_explore
-    p.add_argument("--dedup-tol", type=float)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_explore)
 

@@ -62,7 +62,7 @@ class Isometry:
     def so_plus(self):
         """`is_in_so_plus`, evaluated once per isometry."""
         if self.det != 1:
-            raise ValueError("orientation test requires determinant +1")
+            return False
         basis, columns = _positive_frame(self.lattice)
         images = [intlin.mat_vec(self.matrix, p) for p in basis]
         return intlin.det_bareiss([[_dot(gp, c) for c in columns] for gp in images]) > 0
@@ -178,8 +178,9 @@ def is_in_so_plus(g: Isometry) -> bool:
     For an orthogonal positive basis P the sign of det[(g·p_i, p_j)] is the
     sign of the determinant of g's projection onto Span P; P is the
     integer `positive_basis`, so the determinant is an integer one (1 for
-    an empty frame, 0 for a degenerate projection).  Inputs of determinant
-    −1 are rejected.  The verdict is kept on g, like its determinant.
+    an empty frame, 0 for a degenerate projection).  An isometry of
+    determinant −1 is not in SO⁺.  The verdict is kept on g, like its
+    determinant.
     """
     return g.so_plus
 
@@ -385,7 +386,7 @@ def map_isotropic(L: QuadLattice, u, v) -> Isometry:
     g = Isometry(intlin.transpose(cols), L)
     if apply(g, u) != tuple(v):
         raise AssertionError("transvection word does not carry u to v")
-    if not (g.det == 1 and is_in_so_plus(g)):
+    if not is_in_so_plus(g):
         raise AssertionError("transvection word left the identity component")
     return g
 
@@ -409,7 +410,7 @@ def is_in_gu(g: Isometry, u) -> bool:
     """Stabilizer of u inside the identity component."""
     if apply(g, u) != tuple(u):
         return False
-    return g.det == 1 and is_in_so_plus(g)
+    return is_in_so_plus(g)
 
 
 def is_in_hy(g: Isometry, u, y) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidTolerance, NotIsotropic, NotPositiveNorm, NotPrimitive
+from .errors import NotIsotropic, NotPositiveNorm, NotPrimitive
 from .isometries import gu_lattice_generators, invert
 from .lattice_core import (
     QuadLattice,
@@ -24,7 +24,7 @@ from .lattice_core import (
     split_hyperbolic,
 )
 
-POINT_TOL = 1e-9
+POINT_TOL = 1e-6
 DEDUP_TOL = 1e-7
 NORM_CAP = 1e6
 FRONTIER_CAP = 4096
@@ -57,9 +57,9 @@ class HyperboloidPoint:
         return norm_defect, abs(float(v @ g @ np.array(u, dtype=float)))
 
 
-def check_point(L: QuadLattice, point: HyperboloidPoint, u=None, tol=POINT_TOL):
+def check_point(L: QuadLattice, point: HyperboloidPoint, u=None):
     norm_defect, pairing_defect = point.defects(L, u)
-    return norm_defect <= tol and pairing_defect <= tol
+    return norm_defect <= POINT_TOL and pairing_defect <= POINT_TOL
 
 
 def project_to_hyperboloid(L: QuadLattice, v, u=None) -> HyperboloidPoint:
@@ -98,7 +98,6 @@ def explore(
     targets,
     depth,
     seed=0,
-    dedup_tol=DEDUP_TOL,
     generators=None,
     point_sink=None,
 ):
@@ -108,12 +107,11 @@ def explore(
     coordinate distance over every orbit point seen so far, plus the
     number of distinct points visited.  Deterministic for a fixed seed;
     the seed only drives the subsample used when a frontier exceeds
-    FRONTIER_CAP.  Images with a coordinate above NORM_CAP are dropped.
+    FRONTIER_CAP.  Images with a coordinate above NORM_CAP are dropped,
+    and images are told apart on a grid of step DEDUP_TOL.
     A list passed as point_sink receives the coordinates of every visited
     point, for callers auditing the walk itself.
     """
-    if not 0 < dedup_tol < np.inf:
-        raise InvalidTolerance("dedup_tol must be finite and positive")
     if u is not None:
         u = tuple(int(x) for x in u)
         if not is_isotropic(L, u):
@@ -132,7 +130,7 @@ def explore(
             if m not in seen_mats:
                 seen_mats.add(m)
                 mats.append(np.array(m, dtype=float))
-    if not check_point(L, y0, u, tol=1e-6):
+    if not check_point(L, y0, u):
         raise ValueError("y0 is not on the hyperboloid")
     target_pts = [
         t.coords if isinstance(t, HyperboloidPoint) else tuple(t)
@@ -143,7 +141,7 @@ def explore(
 
     def keys_of(arr):
         # one key per row: the row's slice of the grid's byte buffer
-        buf = np.round(arr / dedup_tol).astype(np.int64).tobytes()
+        buf = np.round(arr / DEDUP_TOL).astype(np.int64).tobytes()
         width = 8 * arr.shape[1]  # int64 coordinates
         return [buf[at : at + width] for at in range(0, len(buf), width)]
 
@@ -169,10 +167,8 @@ def explore(
             records.append(
                 DensityRecord(d, tid, float(best[tid]), orbit_size)
             )
-        if d == depth or not frontier.size:
-            if d == depth:
-                break
-            continue
+        if d == depth:
+            break
         images = [frontier @ m.T for m in mats]
         stacked = np.concatenate(images, axis=0)
         keep = np.max(np.abs(stacked), axis=1) <= NORM_CAP

@@ -498,6 +498,33 @@ def compose_shears(g: IntegralShear, h: IntegralShear) -> IntegralShear:
     return IntegralShear(b, a)
 
 
+def pure_shear_act(b, c, d):
+    """(C, D + (CB − (CB)ᵀ)): the block formula of a shear with A = I,
+    in the float order `act` used for it before it took any A."""
+    cb = c @ np.array(b, dtype=float)
+    return c, d + (cb - cb.T)
+
+
+def reference_pfaffian(a):
+    """First-row expansion with closed forms at sizes 2 and 4, the
+    Pfaffian recursion `torus_forms` used before its base case became
+    size 0."""
+    m = a.shape[0]
+    if m == 0:
+        return 1.0
+    if m == 2:
+        return float(a[0, 1])
+    if m == 4:
+        return float(a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2])
+    total = 0.0
+    rest = list(range(1, m))
+    for pos, j in enumerate(rest):
+        keep = [k for k in rest if k != j]
+        sign = -1.0 if pos % 2 else 1.0
+        total += sign * a[0, j] * reference_pfaffian(a[np.ix_(keep, keep)])
+    return total
+
+
 def darboux(n) -> LinearSymplecticForm:
     """Block-diagonal sum of n standard 2×2 pairs; Pfaffian +1."""
     m = np.zeros((2 * n, 2 * n))

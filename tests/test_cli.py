@@ -281,6 +281,24 @@ def test_torus_act_verb(capsys):
     assert data["C"] == [[1.0, 0.0], [0.0, 1.0]]
 
 
+def test_torus_act_with_a_nontrivial_a(capsys):
+    # C′ = AᵀC has integer entries and det 1, but its float determinant
+    # misses 1 by 1.7e-10: the det check scales with the size of C′
+    data = run_json(
+        capsys,
+        "torus", "act",
+        "--form", '{"C":[[-9,-16],[-14,-25]],'
+        '"D":[[0,0.49244133244068333],[-0.49244133244068333,0]]}',
+        "--shear", '{"B":[[2,-3],[0,2]],"A":[[31,136],[-75,-329]]}',
+    )
+    assert data["C"] == [[771.0, 1379.0], [3382.0, 6049.0]]
+    # for n = 2, AᵀDA = det A · D = D, and C′B − (C′B)ᵀ has −6319 above
+    # the diagonal
+    assert data["D"][0][0] == data["D"][1][1] == 0.0
+    assert data["D"][1][0] == -data["D"][0][1]
+    assert data["D"][0][1] == pytest.approx(0.49244133244068333 - 6319, abs=1e-9)
+
+
 def test_torus_blocks_verb(capsys):
     data = run_json(
         capsys,
@@ -361,10 +379,8 @@ def test_explore_verb_json_format(capsys):
          "--eps", "-1e-2"),
         ("torus", "approx", "--target", '{"C":[[1,0],[0,1]],"D":[[0,0],[0,0]]}',
          "--eps", "1e-2", "--delta", "-inf"),
-        ("explore", "--model", "t4", "--u", T4_U,
-         "--y0", "[0.0,0.0,0.594603557501361,0.8408964152537145,0.0,0.0]",
-         "--targets", "[[0.0,0.0,1.0,0.5,0.0,0.0]]", "--depth", "3",
-         "--dedup-tol", "-1e-7"),
+        ("torus", "approx", "--target", '{"C":[[1,0],[0,1]],"D":[[0,0],[0,0]]}',
+         "--eps", "1e-2", "--delta", "-1E+2"),
     ],
 )
 def test_negative_float_literal_is_a_value(capsys, argv):
@@ -375,17 +391,17 @@ def test_negative_float_literal_is_a_value(capsys, argv):
     assert json.loads(err)["error"] == "InvalidTolerance"
 
 
-@pytest.mark.parametrize("tol", ["0", "-1e-7", "nan", "inf"])
-def test_explore_rejects_bad_dedup_tol(capsys, tol):
+def test_explore_has_no_dedup_tol_option(capsys):
+    # the dedup grid is orbit_explorer.DEDUP_TOL, not a per-call setting
     code, out, err = run(
         capsys,
         "explore", "--model", "t4", "--u", T4_U,
         "--y0", "[0.0,0.0,0.594603557501361,0.8408964152537145,0.0,0.0]",
         "--targets", "[[0.0,0.0,1.0,0.5,0.0,0.0]]",
-        "--depth", "3", "--format", "csv", "--dedup-tol=" + tol,
+        "--depth", "3", "--format", "csv", "--dedup-tol=1e-7",
     )
-    assert code == 2 and out == ""
-    assert json.loads(err)["error"] == "InvalidTolerance"
+    assert code == 1 and out == ""
+    assert err.startswith("argument error:")
 
 
 # A full-rank basis of Z^7 of index > 1 with entries up to 5; a Smith-form

@@ -191,8 +191,10 @@ def test_so_plus_examples():
     assert not is_in_so_plus(Isometry(((-1, 0), (0, -1)), U))
     g = eichler_transvection(UU, (1, 0, 0, 0), (0, 0, 1, 0))
     assert is_in_so_plus(g)
-    with pytest.raises(ValueError):
-        is_in_so_plus(reflection(T4, (1, 1, 0, 0, 0, 0)))  # det -1 rejected
+    flip = reflection(T4, (1, 1, 0, 0, 0, 0))  # det −1: not in SO⁺
+    assert not is_in_so_plus(flip)
+    u = (0, 0, 1, 0, 0, 0)  # isotropic and fixed by the reflection
+    assert apply(flip, u) == u and not is_in_gu(flip, u)
 
 
 def test_so_plus_multiplicative():

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import reflection
 from latorb import orbit_explorer as oe
-from latorb.errors import InvalidTolerance, NotIsotropic, NotPositiveNorm, NotPrimitive
+from latorb.errors import NotIsotropic, NotPositiveNorm, NotPrimitive
 from latorb.isometries import Isometry, compose, gu_lattice_generators, invert
 from latorb.lattice_core import t4_model
 
@@ -113,12 +114,27 @@ def test_explore_rejects_bad_u_and_empty_generators():
         oe.explore(L, U_VEC, y0, [y0], depth=1, generators=[])
 
 
-def test_explore_rejects_non_positive_or_non_finite_dedup_tol():
-    # a zero, infinite or NaN grid rounds every image into one key
+def test_explorer_tolerances_are_read_at_call_time(monkeypatch):
+    # POINT_TOL and DEDUP_TOL are module constants, not per-call settings
     y0 = sample_point(random.Random(29))
-    for bad in (0.0, -1e-7, float("inf"), float("nan")):
-        with pytest.raises(InvalidTolerance):
-            oe.explore(L, U_VEC, y0, [y0], depth=1, dedup_tol=bad)
+    off = oe.HyperboloidPoint(tuple(c * (1 + 1e-7) for c in y0.coords))
+    assert oe.check_point(L, off, U_VEC)  # norm defect 2e-7
+    assert oe.explore(L, U_VEC, y0, [y0], depth=1)[-1].orbit_size > 1
+    monkeypatch.setattr(oe, "POINT_TOL", 1e-9)
+    assert not oe.check_point(L, off, U_VEC)
+    monkeypatch.setattr(oe, "DEDUP_TOL", 1e3)  # one grid cell holds every image
+    assert oe.explore(L, U_VEC, y0, [y0], depth=1)[-1].orbit_size == 1
+
+
+def test_explore_walks_on_past_an_empty_frontier():
+    # a reflection fixing u is an involution, so its frontier is empty from
+    # depth 2 on and every later level repeats the statistics
+    flip = reflection(L, (0, 0, 1, 1, 0, 0))
+    y0 = sample_point(random.Random(37))
+    recs = oe.explore(L, U_VEC, y0, [y0], depth=4, generators=[flip])
+    assert [(r.depth, r.min_dist, r.orbit_size) for r in recs] == [
+        (0, 0.0, 1), (1, 0.0, 2), (2, 0.0, 2), (3, 0.0, 2), (4, 0.0, 2)
+    ]
 
 
 def test_explore_equivariant_under_coordinate_isometry():

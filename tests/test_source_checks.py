@@ -1,7 +1,8 @@
 """Source checks on the package: its checks must survive `python -O`,
 which strips asserts, no module may change an imported module's state, no
 public name may go unused, and the declared dependencies are exactly the
-third-party packages it imports."""
+third-party packages it imports, and the README states the values of
+the module constants."""
 
 import ast
 import re
@@ -126,6 +127,28 @@ def test_every_public_definition_has_a_use():
         if name not in documented and not used(module, name)
     ]
     assert unused == [], f"public names with no use in src/ and no README mention: {unused}"
+
+
+def test_readme_states_the_module_constants():
+    # every `NAME = value` in the README's tolerance section is the
+    # constant's value in the module that reads it
+    from latorb import orbit_explorer, torus_forms
+
+    readme = (SRC.parents[1] / "README.md").read_text()
+    section = readme.split("## Determinism and tolerances", 1)[1].split("\n## ", 1)[0]
+    stated = {
+        name: ast.literal_eval(value)
+        for name, value in re.findall(r"`(?:\w+\.)?([A-Z_]+) = ([^`]+)`", section)
+    }
+    expected = {
+        name: getattr(module, name)
+        for module, names in (
+            (torus_forms, ("DET_TOL", "VANISH_TOL", "LLL_DELTA", "LLL_MAX_STEPS")),
+            (orbit_explorer, ("POINT_TOL", "NORM_CAP", "FRONTIER_CAP", "DEDUP_TOL")),
+        )
+        for name in names
+    }
+    assert stated == expected
 
 
 def _imported_modules(tree):

@@ -13,6 +13,8 @@ from helpers import (
     darboux,
     exact_skew_residual,
     is_least_float_bound,
+    pure_shear_act,
+    reference_pfaffian,
     standard_complement,
     standard_lagrangian,
 )
@@ -88,6 +90,23 @@ def test_pfaffian_congruence_sign():
         sign = round(np.linalg.det(g))
         assert sign in (-1, 1)
         assert tf.pfaffian(g.T @ base @ g) == pytest.approx(sign, abs=1e-9)
+
+
+def test_pfaffian_matches_the_closed_forms():
+    # bit for bit, up to the sign of a zero Pfaffian: the size-0 base case
+    # adds to +0.0, so where the closed forms gave −0.0 it gives +0.0
+    rng = random.Random(7)
+    nprng = np.random.default_rng(7)
+    mats = []
+    for n in (2, 3, 4):
+        for _ in range(100):
+            f = random_split_form(rng, n)
+            mats += [f.assembled(), tf.act(random_shear(rng, n), f).assembled()]
+            x = nprng.integers(-2, 3, size=(2 * n, 2 * n)).astype(float)
+            mats.append(x - x.T)
+    for m in mats:
+        got, want = tf.pfaffian(m), reference_pfaffian(m)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes() or got == want == 0.0
 
 
 def test_pfaffian_rejects_bad_input():
@@ -175,6 +194,18 @@ def test_act_identity_is_exact():
     assert np.array_equal(out.d, f.d)
 
 
+def test_act_at_a_identity_is_the_pure_shear_formula():
+    rng = random.Random(47)
+    for n in (2, 3, 4):
+        for _ in range(100):
+            f = random_split_form(rng, n)
+            g = random_shear(rng, n, with_a=False)
+            out = tf.act(g, f)
+            c, d = pure_shear_act(g.b, f.c, f.d)
+            assert out.c.tobytes() == c.tobytes()
+            assert out.d.tobytes() == d.tobytes()
+
+
 def test_act_matches_dense_congruence():
     rng = random.Random(37)
     for _ in range(50):
@@ -206,6 +237,21 @@ def test_act_composes_as_congruence():
         chained = tf.act(h, tf.act(g, f))
         combined = tf.act(compose_shears(g, h), f)
         assert np.max(np.abs(chained.assembled() - combined.assembled())) <= 1e-10
+
+
+def test_split_form_accepts_the_image_of_a_nontrivial_a():
+    # AᵀC below is an integer matrix of determinant 1 whose float
+    # determinant misses 1 by 1.7e-10, beyond DET_TOL; Hadamard's bound
+    # scales the check
+    f = tf.SplitBlockForm(
+        np.array([[-9.0, -16.0], [-14.0, -25.0]]),
+        np.array([[0.0, 0.49244133244068333], [-0.49244133244068333, 0.0]]),
+    )
+    a = ((31, 136), (-75, -329))
+    out = tf.act(tf.IntegralShear(((2, -3), (0, 2)), a), f)
+    assert out.c.tolist() == [[771.0, 1379.0], [3382.0, 6049.0]]
+    with pytest.raises(ValueError):  # det 772
+        tf.SplitBlockForm(out.c + np.array([[0.0, 0.0], [0.0, 1.0]]), out.d)
 
 
 def test_shear_requires_unit_determinant_a():
