@@ -116,13 +116,6 @@ def xgcd_vector(vals):
     return g, tuple(coeffs)
 
 
-def vector_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
-
-
 def _hermite(rows, ncols):
     """Row-style Hermite elimination of the scratch rows in place,
     pivoting in their first ncols columns; returns the rank.
@@ -217,7 +210,7 @@ def _congruence_reduction(gram):
             row[dst] = f * row[dst] + g * row[src]
         s[dst] = [f * x + g * y for x, y in zip(s[dst], s[src])]
         b[dst] = [f * x + g * y for x, y in zip(b[dst], b[src])]
-        c = vector_gcd(b[dst])
+        c = gcd(*b[dst])
         if c > 1:
             for row in s:
                 row[dst] //= c

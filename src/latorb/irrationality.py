@@ -87,14 +87,6 @@ class SymbolicRealVector:
     def rank(self):
         return len(self.columns[0])
 
-    def approx_coords(self):
-        """Float coordinates obtained by substituting the approximations."""
-        terms = [
-            (Fraction(s.approx) / d, c)
-            for s, d, c in zip(self.symbols, self.dens, self.columns)
-        ]
-        return [float(sum(f * c[i] for f, c in terms)) for i in range(self.rank)]
-
 
 def from_columns(symbols, columns) -> SymbolicRealVector:
     """Builds a symbolic vector from one rational column per symbol; the
@@ -260,7 +252,7 @@ def _isotropic_walk(L: QuadLattice, basis, height):
                     q + c * (2 * pair[j] + c * gram[j][j]),
                     started or c != 0,
                 )
-            elif intlin.vector_gcd(w) == 1:  # also drops the zero vector
+            elif math.gcd(*w) == 1:  # also drops the zero vector
                 yield tuple(w)
 
     if k:

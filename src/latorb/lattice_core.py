@@ -10,6 +10,7 @@ rank-6/rank-22 direct sums used throughout), Hermite-based sublattice
 calculus, and constructive hyperbolic splitting off an isotropic vector.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -133,7 +134,7 @@ def is_primitive(L: QuadLattice, v) -> bool:
     v = _check_vec(L, v)
     if not any(v):
         raise ValueError("zero vector has no primitivity")
-    return intlin.vector_gcd(v) == 1
+    return math.gcd(*v) == 1
 
 
 def is_isotropic(L: QuadLattice, v) -> bool:

@@ -7,8 +7,8 @@ the solver below drives D towards 0 along that action, which is the
 effective content of the density statement for split forms.  Everything
 here is floating point except three parts in exact integer arithmetic: the
 solver's lift of a reduced basis from one embedding weight to the next, its
-bound on the residual it reports, and the exterior-square bridge at the
-bottom.
+bound on each candidate's residual, by which it ranks, stops and reports,
+and the exterior-square bridge at the bottom.
 """
 
 import math
@@ -58,10 +58,6 @@ class LinearSymplecticForm:
         self.matrix = a
         self.matrix.setflags(write=False)
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
 
 class SplitBlockForm:
     """Adapted-block data (C, D): the form [[0, −Cᵀ], [C, D]]."""
@@ -71,9 +67,12 @@ class SplitBlockForm:
         d = _as_float_matrix(d)
         if c.shape != d.shape:
             raise DimensionMismatch("C and D must share a size")
-        # the rounding error of det C scales with Hadamard's bound ∏ᵢ‖cᵢ‖
+        # forward error bound of the float determinant: a small multiple of
+        # n·eps·∏ᵢ‖cᵢ‖₂, with ∏ᵢ‖cᵢ‖₂ Hadamard's bound (Higham, Accuracy and
+        # Stability of Numerical Algorithms, 2002)
         hadamard = float(np.prod(np.linalg.norm(c, axis=1)))
-        if abs(np.linalg.det(c) - 1.0) > DET_TOL * max(1.0, hadamard):
+        rounding = 4 * c.shape[0] * np.finfo(float).eps * hadamard
+        if abs(np.linalg.det(c) - 1.0) > DET_TOL + rounding:
             raise ValueError("C must have determinant 1")
         if not np.array_equal(d, -d.T):
             raise ValueError("D must be exactly skew-symmetric")
@@ -114,16 +113,6 @@ class IntegralShear:
     @property
     def n(self):
         return len(self.b)
-
-    def assembled(self):
-        n = self.n
-        out = [[0] * (2 * n) for _ in range(2 * n)]
-        for i in range(n):
-            out[i][i] = 1
-            for j in range(n):
-                out[i][n + j] = self.b[i][j]
-                out[n + i][n + j] = self.a[i][j]
-        return out
 
 
 def pfaffian(omega):
@@ -399,13 +388,14 @@ def _ladder(cprime, d):
         yield tuple(tuple(coeffs[i * n : (i + 1) * n]) for i in range(n))
 
 
-def _residual_bound(cprime, b, d):
-    """Smallest float ≥ max|C′B − (C′B)ᵀ − D|, from exact integers."""
+def _residual_bound(c, d, den, b):
+    """Smallest float ≥ max|C′B − (C′B)ᵀ − D|, from exact integers: c and d
+    are C′ and D as integer rows over the common denominator den."""
     n = len(b)
-    ints, den = _over_common_denominator([*cprime, *d])
-    cb = intlin.mat_mul(ints[:n], b)
+    cb = intlin.mat_mul(c, b)
+    # D is exactly skew, so the entries above the diagonal hold the maximum
     top = max(
-        abs(cb[i][j] - cb[j][i] - ints[n + i][j]) for i in range(n) for j in range(n)
+        abs(cb[i][j] - cb[j][i] - d[i][j]) for i in range(n) for j in range(i + 1, n)
     )
     bound = top / den
     p, q = bound.as_integer_ratio()
@@ -419,12 +409,11 @@ def approx_by_split_orbit(
 
     Each round perturbs C within delta (re-normalized to determinant 1)
     and walks a ladder of embedding weights, asking lattice reduction for
-    an integer B with C′B − (C′B)ᵀ close to D; the candidate with the
-    smallest float error is kept.  The reported error is the smallest
-    float ≥ the exact residual of the returned data, evaluated in integers
-    once per round in which the incumbent changed.  Terminates early once
-    that error reaches eps; otherwise exhausts the budget and raises,
-    carrying the best incumbent found.
+    an integer B with C′B − (C′B)ᵀ close to D.  Every candidate is scored
+    by the smallest float ≥ its exact residual, evaluated in integers, and
+    the least (score, B) is kept and reported.  Terminates after the first
+    round in which that score reaches eps; otherwise exhausts the budget
+    and raises, carrying the best incumbent found.
     """
     if not (0 < eps < np.inf and 0 <= delta < np.inf):
         raise InvalidTolerance("need finite eps > 0 and finite delta >= 0")
@@ -438,7 +427,7 @@ def approx_by_split_orbit(
     if not d.any():
         return SolveResult(as_tuple(c), zero_b, 0.0, 0)
     rng = np.random.default_rng(seed)
-    best = None  # (err, b_flat, b, cprime, rounds)
+    best_key = best = None
     for round_no in range(1, budget + 1):
         if round_no == 1 or delta == 0:
             cprime = c
@@ -455,21 +444,18 @@ def approx_by_split_orbit(
                     break
             else:
                 cprime = c
+        ints, den = _over_common_denominator([*cprime, *d])
+        cints, dints = ints[:n], ints[n:]
         for b in _ladder(cprime, d):
-            bm = np.array(b, dtype=float)
-            cb = cprime @ bm
-            err = float(np.max(np.abs((cb - cb.T) - d)))
-            key = (err, tuple(x for row in b for x in row))
-            if best is None or key < (best[0], best[1]):
-                best = (err, key[1], b, cprime, round_no)
-        if best[4] == round_no:
-            bound = _residual_bound(best[3], best[2], d)
-        if bound <= eps:
-            return SolveResult(as_tuple(best[3]), best[2], bound, best[4])
-    incumbent = SolveResult(as_tuple(best[3]), best[2], bound, best[4])
+            key = (_residual_bound(cints, dints, den, b), [x for row in b for x in row])
+            if best is None or key < best_key:
+                best_key = key
+                best = SolveResult(as_tuple(cprime), b, key[0], round_no)
+        if best.err <= eps:
+            return best
     raise DidNotConverge(
         "no shear image reached the requested accuracy within budget",
-        incumbent=incumbent,
+        incumbent=best,
     )
 
 

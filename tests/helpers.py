@@ -431,7 +431,7 @@ def reference_find_isotropic_orthogonal(L, y, height):
         lead = next(x for x in v if x != 0)
         if lead < 0:
             continue  # keep one representative per ±pair
-        if intlin.vector_gcd(v) != 1:
+        if math.gcd(*v) != 1:
             continue
         gv = intlin.mat_vec(L.gram, v)
         if sum(a * b for a, b in zip(gv, v)) != 0:
@@ -490,8 +490,21 @@ def spans_saturated(rows):
     return all(d == 1 for d in factors if d != 0)
 
 
+def assembled_shear(g: IntegralShear):
+    """The dense integer matrix [[I, B], [0, A]] of a shear: the oracle the
+    block formula of `act` is checked against."""
+    n = g.n
+    out = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        out[i][i] = 1
+        for j in range(n):
+            out[i][n + j] = g.b[i][j]
+            out[n + i][n + j] = g.a[i][j]
+    return out
+
+
 def compose_shears(g: IntegralShear, h: IntegralShear) -> IntegralShear:
-    prod = intlin.mat_mul(g.assembled(), h.assembled())
+    prod = intlin.mat_mul(assembled_shear(g), assembled_shear(h))
     n = g.n
     b = [row[n:] for row in prod[:n]]
     a = [row[n:] for row in prod[n:]]
@@ -576,6 +589,13 @@ def reflection(L: QuadLattice, a) -> Isometry:
             col[i] -= num // aa
         cols.append(col)
     return Isometry(tuple(zip(*cols)), L)
+
+
+def approx_coords(y: SymbolicRealVector):
+    """Float coordinates of y with each symbol replaced by its float: each
+    coordinate the float nearest its exact rational value."""
+    terms = [(Fraction(s.approx) / d, c) for s, d, c in zip(y.symbols, y.dens, y.columns)]
+    return [float(sum(f * c[i] for f, c in terms)) for i in range(y.rank)]
 
 
 def rational_columns(y: SymbolicRealVector):

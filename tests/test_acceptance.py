@@ -15,7 +15,13 @@ import time
 
 import numpy as np
 
-from helpers import engineered_k3_vector, mat_eq, random_primitive_isotropic
+from helpers import (
+    approx_coords,
+    assembled_shear,
+    engineered_k3_vector,
+    mat_eq,
+    random_primitive_isotropic,
+)
 from latorb import intlin
 import latorb.orbit_explorer as oe
 import latorb.torus_forms as tf
@@ -344,7 +350,7 @@ def test_criterion_07_action_consistency():
             a = None
         g = tf.IntegralShear(b, a)
         out = tf.act(g, f)
-        gm = np.array(g.assembled(), dtype=float)
+        gm = np.array(assembled_shear(g), dtype=float)
         dense = gm.T @ f.assembled() @ gm
         assert np.max(np.abs(out.assembled() - dense)) <= 1e-12
         assert abs(tf.pfaffian(out.assembled()) - tf.pfaffian(f.assembled())) <= 1e-10
@@ -447,7 +453,7 @@ def test_criterion_10_explorer_properties():
     y_sym = from_columns(
         (UNIT, SQRT2), [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]]
     )
-    y0 = oe.project_to_hyperboloid(T4, y_sym.approx_coords(), X1)
+    y0 = oe.project_to_hyperboloid(T4, approx_coords(y_sym), X1)
     rng = random.Random(10)
     targets = []
     while len(targets) < 10:

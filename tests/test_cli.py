@@ -1,4 +1,6 @@
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -299,6 +301,19 @@ def test_torus_act_with_a_nontrivial_a(capsys):
     assert data["D"][0][1] == pytest.approx(0.49244133244068333 - 6319, abs=1e-9)
 
 
+def test_torus_act_rejects_a_determinant_off_by_5e_4(capsys):
+    # the C′ of the test above with one entry moved so that det C = 1.0005
+    form = {
+        "C": [[771.0, 1379.0], [3382.0, 6049.0 + 0.0005 / 771]],
+        "D": [[0.0, 0.49244133244068333], [-0.49244133244068333, 0.0]],
+    }
+    code, out, err = run(
+        capsys, "torus", "act", "--form", json.dumps(form), "--shear", '{"B":[[0,0],[0,0]]}'
+    )
+    assert code == 1 and out == ""
+    assert "C must have determinant 1" in err
+
+
 def test_torus_blocks_verb(capsys):
     data = run_json(
         capsys,
@@ -463,6 +478,62 @@ def test_map_isotropic_readme_example_stdout(capsys):
         "[0, 0, 0, 1, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0], "
         "[0, 0, 0, 0, 0, 1]]}\n"
     )
+
+
+def readme_examples():
+    """(argv, expected stdout lines) of each `$ latorb …` example in the
+    README's shell blocks: a command runs on over lines that end in a
+    backslash, and its output is the lines up to the next blank line."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        lines = iter(block.splitlines())
+        for line in lines:
+            if not line.startswith("$ latorb "):
+                continue
+            command = line
+            while command.endswith("\\"):
+                command = command[:-1] + next(lines)
+            expected = []
+            for out in lines:
+                if not out:
+                    break
+                expected.append(out)
+            examples.append((shlex.split(command[2:])[1:], expected))
+    return examples
+
+
+def matches_with_ellipses(expected, out):
+    """Whether the printed lines match the expected ones, where `...`
+    inside a line stands for any text and a line of `...` alone for any
+    number of lines."""
+    pattern = "".join(
+        r"(?:[^\n]*\n)*" if line == "..." else
+        r"[^\n]*".join(map(re.escape, line.split("..."))) + r"\n"
+        for line in expected
+    )
+    return re.fullmatch(pattern, out) is not None
+
+
+def test_matches_with_ellipses():
+    assert matches_with_ellipses(["a...c"], "abbc\n")
+    assert not matches_with_ellipses(["a...c"], "ab\nc\n")
+    assert matches_with_ellipses(["a", "...", "z"], "a\nz\n")
+    assert matches_with_ellipses(["a", "...", "z"], "a\nb\nc\nz\n")
+    assert not matches_with_ellipses(["a", "z"], "a\nb\nz\n")
+    assert not matches_with_ellipses(["a"], "a\nb\n")
+
+
+README_EXAMPLES = readme_examples()
+
+
+@pytest.mark.parametrize(
+    "argv, expected", README_EXAMPLES, ids=[" ".join(argv[:2]) for argv, _ in README_EXAMPLES]
+)
+def test_readme_examples_print_what_the_readme_shows(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert matches_with_ellipses(expected, out), out
 
 
 K3_IRR_GOLDEN = json.loads(

@@ -76,7 +76,7 @@ def brute_force_isotropic_orthogonal(L, y, height):
             continue
         if next(x for x in v if x != 0) < 0:
             continue
-        if intlin.vector_gcd(list(v)) != 1:
+        if math.gcd(*v) != 1:
             continue
         if any(c != 0 for c in symbolic_inner(L, y, v)):
             continue

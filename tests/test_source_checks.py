@@ -7,6 +7,7 @@ the module constants."""
 import ast
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -69,62 +70,87 @@ def test_no_assignment_to_imported_module_state(module):
     assert lines == [], f"{module} assigns to imported module state at {lines}"
 
 
-def _reads(node, module, name, imported):
-    """Whether node reads `module.name`, or the bare name where it is
-    bound: in its own module or after `from .module import name`."""
-    return any(
-        (
-            isinstance(n, ast.Attribute)
-            and n.attr == name
-            and isinstance(n.value, ast.Name)
-            and n.value.id == module
-        )
-        or (imported and isinstance(n, ast.Name) and n.id == name)
-        for n in ast.walk(node)
-    )
+def _reads(node):
+    """What node reads: each `module.name` attribute read as the pair
+    (module, name), and each bare name."""
+    qualified, bare = set(), set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            bare.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+            qualified.add((n.value.id, n.attr))
+    return qualified, bare
 
 
-def _imports_from(tree, module, name):
-    return any(
-        isinstance(n, ast.ImportFrom)
-        and n.level == 1
-        and n.module == module
-        and any(a.name == name for a in n.names)
+def _attribute_reads(node):
+    """How often each attribute name is read off any value within node."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def _relative_imports(tree):
+    """(module, name) for each `from .module import name` in the tree."""
+    return {
+        (n.module, a.name)
         for n in ast.walk(tree)
-    )
+        if isinstance(n, ast.ImportFrom) and n.level == 1
+        for a in n.names
+    }
+
+
+def _public(node, kinds):
+    return isinstance(node, kinds) and not node.name.startswith("_")
 
 
 def test_every_public_definition_has_a_use():
-    # a public function or class either serves other code in the package or
-    # is named in the README contract; otherwise only its own tests reach it.
-    # A use is a read of `module.name`, or of the bare name in its own
-    # module or after `from .module import name`: a local variable or a
-    # parameter that shares the name elsewhere does not count.
+    # a public function or class, and a public method or property of a
+    # public class, either serves other code in the package or is named in
+    # the README contract; otherwise only its own tests reach it.
+    # - A use of a module-level name is a read of `module.name`, or of the
+    #   bare name in its own module or after `from .module import name`: a
+    #   local variable or a parameter that shares the name elsewhere does
+    #   not count.
+    # - A use of a member is a read of `.name` off any value outside the
+    #   member's own definition.  Dunders belong to the interpreter and are
+    #   not checked.
     readme = (SRC.parents[1] / "README.md").read_text()
     documented = {
         w for span in re.findall(r"`([^`]*)`", readme) for w in re.findall(r"\w+", span)
     }
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    definitions = [
-        (module, node.name)
-        for module, tree in trees.items()
+    imports = {m: _relative_imports(tree) for m, tree in trees.items()}
+    # each top-level node's reads, collected once: (module, node name, reads)
+    top_level = [
+        (m, getattr(node, "name", None), _reads(node))
+        for m, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
     ]
 
     def used(module, name):
         return any(
-            _reads(node, module, name, m == module or _imports_from(tree, module, name))
-            for m, tree in trees.items()
-            for node in tree.body
-            if (m, getattr(node, "name", None)) != (module, name)
+            (module, name) in qualified
+            or ((m == module or (module, name) in imports[m]) and name in bare)
+            for m, own, (qualified, bare) in top_level
+            if (m, own) != (module, name)
         )
 
     unused = [
-        f"{module}:{name}"
-        for module, name in definitions
-        if name not in documented and not used(module, name)
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if _public(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in documented
+        and not used(module, node.name)
+    ]
+    attribute_reads = sum((_attribute_reads(tree) for tree in trees.values()), Counter())
+    unused += [
+        f"{module}:{cls.name}.{member.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if _public(cls, ast.ClassDef)
+        for member in cls.body
+        if _public(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and member.name not in documented
+        and attribute_reads[member.name] == _attribute_reads(member)[member.name]
     ]
     assert unused == [], f"public names with no use in src/ and no README mention: {unused}"
 

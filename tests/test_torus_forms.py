@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    assembled_shear,
     compose_shears,
     darboux,
     exact_skew_residual,
@@ -212,7 +213,7 @@ def test_act_matches_dense_congruence():
         f = random_split_form(rng)
         g = random_shear(rng, with_a=rng.random() < 0.5)
         out = tf.act(g, f)
-        asm = np.array(g.assembled(), dtype=float)
+        asm = np.array(assembled_shear(g), dtype=float)
         dense = asm.T @ f.assembled() @ asm
         assert np.max(np.abs(out.assembled() - dense)) <= 1e-12
 
@@ -252,6 +253,16 @@ def test_split_form_accepts_the_image_of_a_nontrivial_a():
     assert out.c.tolist() == [[771.0, 1379.0], [3382.0, 6049.0]]
     with pytest.raises(ValueError):  # det 772
         tf.SplitBlockForm(out.c + np.array([[0.0, 0.0], [0.0, 1.0]]), out.d)
+
+
+def test_split_form_rejects_a_determinant_off_by_5e_4():
+    # the C′ above with one entry moved so that det C = 1.0005: the float
+    # determinant's rounding at these entries is below 1e-8, far from 5e-4
+    c = np.array([[771.0, 1379.0], [3382.0, 6049.0 + 0.0005 / 771]])
+    assert abs(np.linalg.det(c) - 1.0005) <= 1e-8
+    d = np.array([[0.0, 0.49244133244068333], [-0.49244133244068333, 0.0]])
+    with pytest.raises(ValueError, match="determinant 1"):
+        tf.SplitBlockForm(c, d)
 
 
 def test_shear_requires_unit_determinant_a():
@@ -415,6 +426,43 @@ def test_solver_golden_outputs():
         assert [list(r) for r in res.b] == case["b"]
         assert res.err.hex() == case["err"]
         assert res.rounds == case["rounds"]
+
+
+def near_identity_targets(n, count, seed):
+    """Seeded (C, D): C near I rescaled to det 1, D skew with entries in
+    (−1, 1)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        c = np.eye(n) + rng.uniform(-0.3, 0.3, size=(n, n))
+        det = np.linalg.det(c)
+        if det > 0.2:
+            a = rng.uniform(-0.5, 0.5, size=(n, n))
+            out.append(tf.SplitBlockForm(c * det ** (-1.0 / n), a - a.T))
+    return out
+
+
+def test_solver_answer_is_the_exact_minimizer_of_its_round():
+    # the returned B is, among the candidates of the round that produced
+    # it, the least by its exact residual, ties broken by flattened B
+    forms = [tf.SplitBlockForm(_unhex(case["C"]), _unhex(case["D"])) for case in GOLDEN["solves"]]
+    forms += near_identity_targets(2, 6, seed=81) + near_identity_targets(3, 4, seed=83)
+    checked = 0
+    for f in forms:
+        try:
+            res = tf.approx_by_split_orbit(f, 1e-6, 0.1)
+        except DidNotConverge:
+            continue
+        best = min(
+            tf._ladder(res.cprime, f.d),
+            key=lambda b: (
+                exact_skew_residual(res.cprime, b, f.d),
+                [x for row in b for x in row],
+            ),
+        )
+        assert res.b == best
+        checked += 1
+    assert checked >= 15
 
 
 # --- exterior-square bridge --------------------------------------------------
