@@ -528,7 +528,9 @@ README_EXAMPLES = readme_examples()
 
 
 @pytest.mark.parametrize(
-    "argv, expected", README_EXAMPLES, ids=[" ".join(argv[:2]) for argv, _ in README_EXAMPLES]
+    "argv, expected",
+    README_EXAMPLES,
+    ids=["-".join(a for a in argv[:2] if not a.startswith("-")) for argv, _ in README_EXAMPLES],
 )
 def test_readme_examples_print_what_the_readme_shows(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
