@@ -6,6 +6,7 @@ identical inputs and seed give byte-identical stdout.
 """
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -261,13 +262,8 @@ def _cmd_explore(args):
     from . import orbit_explorer
     L = _lattice_of(args)
     u = _vector(args.u)
-    y0 = orbit_explorer.HyperboloidPoint(
-        tuple(float(x) for x in _load_json(args.y0))
-    )
-    targets = [
-        orbit_explorer.HyperboloidPoint(tuple(float(x) for x in t))
-        for t in _load_json(args.targets)
-    ]
+    y0 = orbit_explorer.HyperboloidPoint(_load_json(args.y0))
+    targets = [orbit_explorer.HyperboloidPoint(t) for t in _load_json(args.targets)]
     records = orbit_explorer.explore(L, u, y0, targets, args.depth, seed=args.seed)
     if args.format == "csv":
         sys.stdout.write(orbit_explorer.records_to_csv(records))
@@ -275,15 +271,7 @@ def _cmd_explore(args):
     _emit(
         {
             "caveat": orbit_explorer.CSV_CAVEAT.lstrip("# "),
-            "records": [
-                {
-                    "depth": r.depth,
-                    "target_id": r.target_id,
-                    "min_dist": r.min_dist,
-                    "orbit_size": r.orbit_size,
-                }
-                for r in records
-            ],
+            "records": [dataclasses.asdict(r) for r in records],
         }
     )
 
@@ -291,114 +279,84 @@ def _cmd_explore(args):
 # --- wiring ------------------------------------------------------------------
 
 
-def _add_lattice_source(p):
-    p.add_argument("--model", choices=sorted(MODELS))
-    p.add_argument("--lattice", help="lattice JSON (inline or file path)")
+def _required(*flags, **described):
+    """Required options: each bare flag, then each keyword as a flag with
+    its help text."""
+    return tuple((f"--{f}", {"required": True}) for f in flags) + tuple(
+        (f"--{f}", {"required": True, "help": text}) for f, text in described.items()
+    )
+
+
+_SOURCE = (
+    ("--model", {"choices": sorted(MODELS)}),
+    ("--lattice", {"help": "lattice JSON (inline or file path)"}),
+)
+_HEIGHT = (("--height", {"type": int, "default": 3}),)
+_SEED = ("--seed", {"type": int, "default": 0})
+
+_GROUPS = {
+    "lattice": "quadratic-lattice queries",
+    "isom": "integral isometries",
+    "irr": "irrationality certificates",
+    "torus": "symplectic block forms",
+    "explore": "orbit walk statistics",
+}
+
+# Every verb, in help order: (group, verb, handler, options), each option
+# a flag and its add_argument keywords.  A group with verb None is itself
+# the verb.
+_VERBS = (
+    ("lattice", "info", _cmd_lattice_info, _SOURCE),
+    ("lattice", "inner", _cmd_lattice_inner, _SOURCE + _required("v", "w")),
+    ("lattice", "split", _cmd_lattice_split, _SOURCE + _required("u")),
+    ("lattice", "ortho", _cmd_lattice_ortho,
+     _SOURCE + _required(vectors="JSON list of vectors")),
+    ("lattice", "saturate", _cmd_lattice_saturate, _SOURCE + _required("basis")),
+    ("lattice", "extend", _cmd_lattice_extend, _required("basis")),
+    ("isom", "transvect", _cmd_isom_transvect, _SOURCE + _required("e", "a")),
+    ("isom", "map-isotropic", _cmd_isom_map_isotropic, _SOURCE + _required("u", "v")),
+    ("isom", "check", _cmd_isom_check,
+     _SOURCE + _required("g") + (("--u", {}), ("--y", {}))),
+    ("isom", "generators", _cmd_isom_generators, _SOURCE + _required("u")),
+    ("irr", "check-u", _cmd_irr_check_u,
+     _SOURCE + _required("u", y="symbolic-vector JSON or plain vector")),
+    ("irr", "certify", _cmd_irr_certify, _SOURCE + _required("y") + _HEIGHT),
+    ("irr", "find-isotropic", _cmd_irr_find_isotropic,
+     _SOURCE + _required("y") + _HEIGHT),
+    ("torus", "blocks", _cmd_torus_blocks,
+     _required(omega="dense 2n×2n matrix JSON") + _required("l", "lprime")),
+    ("torus", "act", _cmd_torus_act,
+     _required(form='{"C": ..., "D": ...}', shear='{"B": ..., "A": ...}')),
+    ("torus", "approx", _cmd_torus_approx, _required("target") + (
+        ("--eps", {"type": float, "required": True}),
+        ("--delta", {"type": float, "default": 0.1}),
+        ("--budget", {"type": int, "default": 8}),
+        _SEED,
+    )),
+    ("torus", "wedge", _cmd_torus_wedge, _required(g="4×4 integer matrix JSON")),
+    ("explore", None, _cmd_explore, _SOURCE + _required(
+        "u", y0="float vector JSON", targets="JSON list of float vectors"
+    ) + (
+        ("--depth", {"type": int, "required": True}),
+        _SEED,
+        ("--format", {"choices": ["json", "csv"], "default": "json"}),
+    )),
+)
 
 
 def build_parser():
     root = _Parser(prog="latorb", description=__doc__)
-    sub = root.add_subparsers(dest="verb", required=True)
-
-    lat = sub.add_parser("lattice", help="quadratic-lattice queries")
-    lat_sub = lat.add_subparsers(dest="sub", required=True)
-    p = lat_sub.add_parser("info")
-    _add_lattice_source(p)
-    p.set_defaults(func=_cmd_lattice_info)
-    p = lat_sub.add_parser("inner")
-    _add_lattice_source(p)
-    p.add_argument("--v", required=True)
-    p.add_argument("--w", required=True)
-    p.set_defaults(func=_cmd_lattice_inner)
-    p = lat_sub.add_parser("split")
-    _add_lattice_source(p)
-    p.add_argument("--u", required=True)
-    p.set_defaults(func=_cmd_lattice_split)
-    p = lat_sub.add_parser("ortho")
-    _add_lattice_source(p)
-    p.add_argument("--vectors", required=True, help="JSON list of vectors")
-    p.set_defaults(func=_cmd_lattice_ortho)
-    p = lat_sub.add_parser("saturate")
-    _add_lattice_source(p)
-    p.add_argument("--basis", required=True)
-    p.set_defaults(func=_cmd_lattice_saturate)
-    p = lat_sub.add_parser("extend")
-    p.add_argument("--basis", required=True)
-    p.set_defaults(func=_cmd_lattice_extend)
-
-    iso = sub.add_parser("isom", help="integral isometries")
-    iso_sub = iso.add_subparsers(dest="sub", required=True)
-    p = iso_sub.add_parser("transvect")
-    _add_lattice_source(p)
-    p.add_argument("--e", required=True)
-    p.add_argument("--a", required=True)
-    p.set_defaults(func=_cmd_isom_transvect)
-    p = iso_sub.add_parser("map-isotropic")
-    _add_lattice_source(p)
-    p.add_argument("--u", required=True)
-    p.add_argument("--v", required=True)
-    p.set_defaults(func=_cmd_isom_map_isotropic)
-    p = iso_sub.add_parser("check")
-    _add_lattice_source(p)
-    p.add_argument("--g", required=True)
-    p.add_argument("--u")
-    p.add_argument("--y")
-    p.set_defaults(func=_cmd_isom_check)
-    p = iso_sub.add_parser("generators")
-    _add_lattice_source(p)
-    p.add_argument("--u", required=True)
-    p.set_defaults(func=_cmd_isom_generators)
-
-    irr = sub.add_parser("irr", help="irrationality certificates")
-    irr_sub = irr.add_subparsers(dest="sub", required=True)
-    p = irr_sub.add_parser("check-u")
-    _add_lattice_source(p)
-    p.add_argument("--u", required=True)
-    p.add_argument("--y", required=True, help="symbolic-vector JSON or plain vector")
-    p.set_defaults(func=_cmd_irr_check_u)
-    p = irr_sub.add_parser("certify")
-    _add_lattice_source(p)
-    p.add_argument("--y", required=True)
-    p.add_argument("--height", type=int, default=3)
-    p.set_defaults(func=_cmd_irr_certify)
-    p = irr_sub.add_parser("find-isotropic")
-    _add_lattice_source(p)
-    p.add_argument("--y", required=True)
-    p.add_argument("--height", type=int, default=3)
-    p.set_defaults(func=_cmd_irr_find_isotropic)
-
-    tor = sub.add_parser("torus", help="symplectic block forms")
-    tor_sub = tor.add_subparsers(dest="sub", required=True)
-    p = tor_sub.add_parser("blocks")
-    p.add_argument("--omega", required=True, help="dense 2n×2n matrix JSON")
-    p.add_argument("--l", required=True)
-    p.add_argument("--lprime", required=True)
-    p.set_defaults(func=_cmd_torus_blocks)
-    p = tor_sub.add_parser("act")
-    p.add_argument("--form", required=True, help='{"C": ..., "D": ...}')
-    p.add_argument("--shear", required=True, help='{"B": ..., "A": ...}')
-    p.set_defaults(func=_cmd_torus_act)
-    p = tor_sub.add_parser("approx")
-    p.add_argument("--target", required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--budget", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_torus_approx)
-    p = tor_sub.add_parser("wedge")
-    p.add_argument("--g", required=True, help="4×4 integer matrix JSON")
-    p.set_defaults(func=_cmd_torus_wedge)
-
-    p = sub.add_parser("explore", help="orbit walk statistics")
-    _add_lattice_source(p)
-    p.add_argument("--u", required=True)
-    p.add_argument("--y0", required=True, help="float vector JSON")
-    p.add_argument("--targets", required=True, help="JSON list of float vectors")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=_cmd_explore)
-
+    groups = root.add_subparsers(dest="verb", required=True)
+    verbs = {}  # group -> its verbs' subparsers, None for a one-verb group
+    for group, verb, func, options in _VERBS:
+        if group not in verbs:
+            p = groups.add_parser(group, help=_GROUPS[group])
+            verbs[group] = verb and p.add_subparsers(dest="sub", required=True)
+        if verb:
+            p = verbs[group].add_parser(verb)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return root
 
 

@@ -19,9 +19,16 @@ and `positive_basis` (its positive columns).
 
 from functools import cache
 from math import gcd
-from operator import mul
+from operator import index, mul
 
 from .errors import DegenerateGram
+
+
+def _ints(v):
+    """v as a tuple of Python ints.  Built on `operator.index`, so numpy
+    integers pass and floats, strings and other non-integers raise
+    TypeError, where `int` would truncate or parse them."""
+    return tuple(map(index, v))
 
 
 @cache

@@ -149,13 +149,13 @@ def certified_norm_sign(L: QuadLattice, y: SymbolicRealVector):
     dens = [q * d for (_, q), d in zip(ratios, y.dens)]
     den = math.lcm(*dens)
     factors = [p * (den // m) for (p, _), m in zip(ratios, dens)]
-    z = [sum(f * x for f, x in zip(factors, row)) for row in zip(*cols)]
-    norm = sum(a * b for a, b in zip(gram_column(L, z), z))
+    z = intlin.mat_vec(intlin.transpose(cols), factors)
+    norm = _dot(gram_column(L, z), z)
     if norm != 0:
         return 1 if norm > 0 else -1
     for i, c in enumerate(cols):
         gc = gram_column(L, c)
-        if any(sum(a * b for a, b in zip(gc, ct)) for ct in cols[i:]):
+        if any(_dot(gc, ct) for ct in cols[i:]):
             raise PrecisionError(
                 "(y,y) is exactly 0 at the approximations but not identically 0"
             )
@@ -221,10 +221,8 @@ def _isotropic_walk(L: QuadLattice, basis, height):
         for j, (b, p, e) in enumerate(zip(basis, pivots, ends))
     ]
     steps = [[(i, x) for i, x in enumerate(b) if x] for b in basis]
-    gram = [
-        [sum(a * b for a, b in zip(gb, bj)) for bj in basis]
-        for gb in (gram_column(L, bi) for bi in basis)
-    ]
+    columns = [gram_column(L, b) for b in basis]
+    gram = [[_dot(b, c) for c in columns] for b in basis]
 
     def level(j, v, pair, q, started):
         p = pivots[j]

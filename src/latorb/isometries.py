@@ -37,7 +37,7 @@ class Isometry:
     lattice: QuadLattice
 
     def __post_init__(self):
-        m = tuple(tuple(map(int, row)) for row in self.matrix)
+        m = tuple(map(intlin._ints, self.matrix))
         object.__setattr__(self, "matrix", m)
         n = self.lattice.rank
         if len(m) != n or any(len(row) != n for row in m):
@@ -192,13 +192,15 @@ class _Frame:
     planes are orthogonal to each other and to rest, so the coordinate of
     e1 is the pairing with f1 and so on; partners holds the Gram columns
     of f1, e1, f2, e2 for those pairings, and rest_columns those of rest.
+    rest_t holds the rest vectors as columns, so a combination of them is
+    one matrix-vector product.
     """
 
-    __slots__ = ("e1", "f1", "e2", "f2", "rest", "partners", "rest_columns")
+    __slots__ = ("e1", "f1", "e2", "f2", "rest_t", "partners", "rest_columns")
 
     def __init__(self, L, e1, f1, e2, f2, rest):
         self.e1, self.f1, self.e2, self.f2 = e1, f1, e2, f2
-        self.rest = rest
+        self.rest_t = intlin.transpose(rest)
         self.partners = [gram_column(L, v) for v in (f1, e1, f2, e2)]
         self.rest_columns = [gram_column(L, r) for r in rest]
 
@@ -219,15 +221,11 @@ def _hyperbolic_frame(L: QuadLattice) -> _Frame:
         raise NoHyperbolicSplit("no isotropic vector in the split complement")
     e2c = intlin.identity(comp.rank)[j]
     f2c, comp2 = split_hyperbolic(inner_gram, e2c)
-
-    def to_ambient(coords):
-        return tuple(
-            sum(c * b[i] for c, b in zip(coords, comp.basis)) for i in range(n)
-        )
-
-    e2 = to_ambient(e2c)
-    f2 = to_ambient(f2c)
-    rest = tuple(to_ambient(c) for c in comp2.basis)
+    # complement coordinates c map to the ambient vector c·comp.basis
+    to_ambient = intlin.transpose(comp.basis)
+    e2 = intlin.mat_vec(to_ambient, e2c)
+    f2 = intlin.mat_vec(to_ambient, f2c)
+    rest = intlin.mat_mul(comp2.basis, comp.basis)
     return _Frame(L, e1, f1, e2, f2, rest)
 
 
@@ -282,11 +280,7 @@ class _Reduction:
         return [_dot(g, self.t) for g in self.fr.rest_columns]
 
     def rest_combination(self, coeffs):
-        n = self.L.rank
-        return tuple(
-            sum(c * r[i] for c, r in zip(coeffs, self.fr.rest))
-            for i in range(n)
-        )
+        return intlin.mat_vec(self.fr.rest_t, coeffs)
 
     def run(self):
         al, be, ga, de = self.coords()
@@ -441,11 +435,7 @@ def gu_lattice_generators(L: QuadLattice, u):
     list is deliberately rich but makes no claim of generating the full
     stabilizer.
     """
-    u = tuple(u)
-    if not is_isotropic(L, u):
-        raise NotIsotropic("u must be isotropic")
-    if not is_primitive(L, u):
-        raise NotPrimitive("u must be primitive")
+    _, comp = split_hyperbolic(L, u)
     out = []
     seen = set()
 
@@ -456,7 +446,6 @@ def gu_lattice_generators(L: QuadLattice, u):
 
     for a in intlin.kernel_basis([gram_column(L, u)]):
         push(eichler_transvection(L, u, a))
-    z, comp = split_hyperbolic(L, u)
     cg = sublattice_gram(L, comp)
     for i, e in enumerate(comp.basis):
         if cg[i][i] != 0:

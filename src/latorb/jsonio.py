@@ -7,6 +7,7 @@ explicitly; the rational unit is implicit in the first coefficient column.
 """
 
 from fractions import Fraction
+from operator import index
 
 from .errors import DimensionMismatch
 from .irrationality import (
@@ -23,7 +24,7 @@ INT64_MAX = 2 ** 63 - 1
 
 
 def encode_int(x):
-    x = int(x)
+    x = index(x)
     return x if abs(x) <= INT64_MAX else str(x)
 
 

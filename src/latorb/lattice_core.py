@@ -39,7 +39,7 @@ class QuadLattice:
     gram: tuple
 
     def __post_init__(self):
-        g = tuple(tuple(map(int, row)) for row in self.gram)
+        g = tuple(map(intlin._ints, self.gram))
         object.__setattr__(self, "gram", g)
         n = len(g)
         if any(len(row) != n for row in g):
@@ -72,7 +72,7 @@ class Sublattice:
     basis: tuple
 
     def __post_init__(self):
-        b = tuple(tuple(map(int, row)) for row in self.basis)
+        b = tuple(map(intlin._ints, self.basis))
         object.__setattr__(self, "basis", b)
         if b:
             if len({len(row) for row in b}) != 1:
@@ -86,7 +86,7 @@ class Sublattice:
 
 
 def _check_vec(L: QuadLattice, v) -> tuple:
-    v = tuple(map(int, v))
+    v = intlin._ints(v)
     if len(v) != L.rank:
         raise DimensionMismatch(
             f"vector length {len(v)} does not match lattice rank {L.rank}"

@@ -15,14 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotIsotropic, NotPositiveNorm, NotPrimitive
+from .errors import NotPositiveNorm
 from .isometries import gu_lattice_generators, invert
-from .lattice_core import (
-    QuadLattice,
-    is_isotropic,
-    is_primitive,
-    split_hyperbolic,
-)
+from .lattice_core import QuadLattice, _check_split, split_hyperbolic
 
 POINT_TOL = 1e-6
 DEDUP_TOL = 1e-7
@@ -103,6 +98,8 @@ def explore(
 ):
     """Breadth-first orbit walk recording nearest approaches per depth.
 
+    u is checked as `split_hyperbolic` checks it: a primitive isotropic
+    vector of an even unimodular lattice.
     One DensityRecord per (depth, target): the running minimum Euclidean
     coordinate distance over every orbit point seen so far, plus the
     number of distinct points visited.  Deterministic for a fixed seed;
@@ -113,11 +110,7 @@ def explore(
     point, for callers auditing the walk itself.
     """
     if u is not None:
-        u = tuple(int(x) for x in u)
-        if not is_isotropic(L, u):
-            raise NotIsotropic("u must be isotropic")
-        if not is_primitive(L, u):
-            raise NotPrimitive("u must be primitive")
+        u = _check_split(L, u)
     if generators is None:
         generators = gu_lattice_generators(L, u)
     gens = list(generators)

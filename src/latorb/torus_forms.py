@@ -44,6 +44,25 @@ def _as_float_matrix(m):
     return a
 
 
+def _form_matrix(omega):
+    """The matrix of a form given as a `LinearSymplecticForm` or as a
+    square matrix."""
+    if isinstance(omega, LinearSymplecticForm):
+        return omega.matrix
+    return _as_float_matrix(omega)
+
+
+def _check_complementary(l: Sublattice, lprime: Sublattice):
+    """The basis rows of l then l′; raises unless the two integral spans
+    sum to the full lattice."""
+    stacked = l.basis + lprime.basis
+    if abs(intlin.det_bareiss(stacked)) != 1:
+        raise NotComplementary(
+            "integral spans of the planes do not sum to the full lattice"
+        )
+    return stacked
+
+
 class LinearSymplecticForm:
     """Nondegenerate skew 2n×2n real matrix; skewness is exact."""
 
@@ -98,13 +117,13 @@ class IntegralShear:
     """Block matrix [[I, B], [0, A]] with integer blocks and det A = 1."""
 
     def __init__(self, b, a=None):
-        self.b = tuple(tuple(int(x) for x in row) for row in b)
+        self.b = tuple(map(intlin._ints, b))
         n = len(self.b)
         if any(len(row) != n for row in self.b):
             raise DimensionMismatch("B must be square")
         if a is None:
             a = intlin.identity(n)
-        self.a = tuple(tuple(int(x) for x in row) for row in a)
+        self.a = tuple(map(intlin._ints, a))
         if len(self.a) != n or any(len(row) != n for row in self.a):
             raise DimensionMismatch("A must match B in size")
         if intlin.det_bareiss(self.a) != 1:
@@ -117,9 +136,7 @@ class IntegralShear:
 
 def pfaffian(omega):
     """Pfaffian by recursive first-row expansion."""
-    a = omega.matrix if isinstance(omega, LinearSymplecticForm) else np.array(omega, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("expected a square matrix")
+    a = _form_matrix(omega)
     if not np.array_equal(a, -a.T):
         raise ValueError("pfaffian needs an exactly skew matrix")
     return _pf(a)
@@ -141,7 +158,7 @@ def _pf(a):
 
 
 def is_lagrangian_subspace(omega, l: Sublattice) -> bool:
-    a = omega.matrix if isinstance(omega, LinearSymplecticForm) else np.array(omega, dtype=float)
+    a = _form_matrix(omega)
     if 2 * l.rank != a.shape[0]:
         raise DimensionMismatch("plane rank must be half the dimension")
     basis = np.array(l.basis, dtype=float)
@@ -151,15 +168,11 @@ def is_lagrangian_subspace(omega, l: Sublattice) -> bool:
 
 def to_blocks(omega, l: Sublattice, lprime: Sublattice) -> SplitBlockForm:
     """Reads off (C, D) in the basis adapted to the pair (l, l′)."""
-    a = omega.matrix if isinstance(omega, LinearSymplecticForm) else np.array(omega, dtype=float)
+    a = _form_matrix(omega)
     n = a.shape[0] // 2
     if l.rank != n or lprime.rank != n:
         raise DimensionMismatch("both planes must have half rank")
-    stacked = l.basis + lprime.basis
-    if abs(intlin.det_bareiss(stacked)) != 1:
-        raise NotComplementary(
-            "integral spans of the planes do not sum to the full lattice"
-        )
+    stacked = _check_complementary(l, lprime)
     if not is_lagrangian_subspace(omega, l):
         raise NotVanishingOnL("form does not vanish on the first plane")
     s = np.array(stacked, dtype=float)
@@ -170,12 +183,7 @@ def to_blocks(omega, l: Sublattice, lprime: Sublattice) -> SplitBlockForm:
 
 def from_blocks(f: SplitBlockForm, l: Sublattice, lprime: Sublattice) -> LinearSymplecticForm:
     """Reassembles the ambient form with prescribed adapted blocks."""
-    stacked = l.basis + lprime.basis
-    if abs(intlin.det_bareiss(stacked)) != 1:
-        raise NotComplementary(
-            "integral spans of the planes do not sum to the full lattice"
-        )
-    sinv = np.array(intlin.integer_inverse(stacked), dtype=float)
+    sinv = np.array(intlin.integer_inverse(_check_complementary(l, lprime)), dtype=float)
     m = sinv @ f.assembled() @ sinv.T
     return LinearSymplecticForm((m - m.T) / 2.0)
 
@@ -303,12 +311,7 @@ def _babai(reduced, transform, star, norms, target):
         c = round(float(t @ star[i]) / norms[i]) if norms[i] else 0
         coeffs[i] = c
         t = t - c * reduced[i]
-    out = [0] * k
-    for i in range(k):
-        if coeffs[i]:
-            for j in range(k):
-                out[j] += coeffs[i] * transform[i][j]
-    return out
+    return intlin.mat_vec(intlin.transpose(transform), coeffs)
 
 
 @dataclass(frozen=True)
@@ -413,7 +416,8 @@ def approx_by_split_orbit(
     by the smallest float ≥ its exact residual, evaluated in integers, and
     the least (score, B) is kept and reported.  Terminates after the first
     round in which that score reaches eps; otherwise exhausts the budget
-    and raises, carrying the best incumbent found.
+    and raises, carrying the best incumbent found.  With delta = 0 every
+    round would repeat the first, so only the first runs.
     """
     if not (0 < eps < np.inf and 0 <= delta < np.inf):
         raise InvalidTolerance("need finite eps > 0 and finite delta >= 0")
@@ -429,7 +433,7 @@ def approx_by_split_orbit(
     rng = np.random.default_rng(seed)
     best_key = best = None
     for round_no in range(1, budget + 1):
-        if round_no == 1 or delta == 0:
+        if round_no == 1:
             cprime = c
         else:
             for _ in range(32):
@@ -453,6 +457,8 @@ def approx_by_split_orbit(
                 best = SolveResult(as_tuple(cprime), b, key[0], round_no)
         if best.err <= eps:
             return best
+        if delta == 0:
+            break
     raise DidNotConverge(
         "no shear image reached the requested accuracy within budget",
         incumbent=best,
@@ -491,7 +497,7 @@ def wedge_gram() -> QuadLattice:
 
 def wedge_square_action(g) -> Isometry:
     """Induced action on 2-wedges of a determinant-1 integer 4×4 matrix."""
-    m = [[int(x) for x in row] for row in g]
+    m = tuple(map(intlin._ints, g))
     if len(m) != 4 or any(len(row) != 4 for row in m):
         raise DimensionMismatch("expected a 4×4 matrix")
     if intlin.det_bareiss(m) != 1:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from helpers import engineered_k3_vector, run_python
-from latorb import intlin, isometries, jsonio
+from latorb import cli, intlin, isometries, jsonio
 from latorb.cli import main
 
 T4_U = "[1,0,0,0,0,0]"
@@ -117,6 +117,43 @@ def test_jsonio_int_codec_round_trip():
         jsonio.decode_int(True)
     with pytest.raises(ValueError):
         jsonio.decode_int(1.5)
+
+
+# U ⊕ U ⊕ <1>: odd, so no hyperbolic plane splits off at u
+ODD_LATTICE = json.dumps(
+    {"gram": [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0],
+              [0, 0, 0, 0, 1]]}
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["isom", "generators", "--lattice", ODD_LATTICE, "--u", "[1,0,0,0,0]"],
+        ["explore", "--lattice", ODD_LATTICE, "--u", "[1,0,0,0,0]",
+         "--y0", "[0,0,0,0,1]", "--targets", "[[0,0,0,0,1]]", "--depth", "1"],
+    ],
+    ids=["isom-generators", "explore"],
+)
+def test_stabilizer_verbs_on_an_odd_lattice_are_domain_errors(capsys, argv):
+    # the stabilizer generators are built on the split at u, so both verbs
+    # reject the lattice as split_hyperbolic does
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "NoHyperbolicSplit"
+
+
+def test_readme_lists_the_verbs_of_the_cli_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    stated = re.findall(r"`([^`]*)`", readme.split("\nVerbs: ", 1)[1].split("\n\n", 1)[0])
+    groups = {}
+    for group, verb, *_ in cli._VERBS:
+        groups.setdefault(group, []).append(verb)
+    table = [
+        group if verbs == [None] else "%s {%s}" % (group, ",".join(verbs))
+        for group, verbs in groups.items()
+    ]
+    assert stated == table
 
 
 def test_transvection_then_check_round_trip(capsys):

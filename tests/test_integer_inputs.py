@@ -1,0 +1,50 @@
+"""Every reader of integer input takes integers only: a float or a string
+raises TypeError instead of being truncated or parsed, and a numpy integer
+is read as the Python int of the same value."""
+
+import numpy as np
+import pytest
+
+from latorb import jsonio, orbit_explorer as oe, torus_forms as tf
+from latorb.isometries import Isometry
+from latorb.lattice_core import QuadLattice, Sublattice, hyperbolic, inner, t4_model
+
+Y0 = oe.HyperboloidPoint((0.0, 0.0, 0.594603557501361, 0.8408964152537145, 0.0, 0.0))
+
+
+def _wedge(x):
+    return tf.wedge_square_action(((x, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+
+
+# each builds valid input around the one entry x, which is 1 when valid
+READERS = {
+    "QuadLattice": lambda x: QuadLattice(((0, x), (x, 0))).gram,
+    "Sublattice": lambda x: Sublattice(((x, 2),)).basis,
+    "inner": lambda x: inner(hyperbolic(), (x, 1), (1, 0)),
+    "Isometry": lambda x: Isometry(((x, 0), (0, 1)), hyperbolic()).matrix,
+    "IntegralShear.b": lambda x: tf.IntegralShear(((x,),)).b,
+    "IntegralShear.a": lambda x: tf.IntegralShear(((0,),), ((x,),)).a,
+    "wedge_square_action": lambda x: _wedge(x).matrix,
+    "explore": lambda x: oe.explore(t4_model(), (x, 0, 0, 0, 0, 0), Y0, [Y0], 0),
+    "encode_int": jsonio.encode_int,
+}
+
+
+def _leaves(data):
+    if isinstance(data, (tuple, list)):
+        return [x for item in data for x in _leaves(item)]
+    return [data]
+
+
+@pytest.mark.parametrize("bad", [0.5, "3"], ids=["float", "string"])
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_non_integer_entries_are_rejected(name, bad):
+    with pytest.raises(TypeError):
+        READERS[name](bad)
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_numpy_integers_are_read_as_ints(name):
+    out = READERS[name](np.int64(1))
+    assert out == READERS[name](1)
+    assert all(type(x) is not np.int64 for x in _leaves(out))

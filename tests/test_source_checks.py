@@ -70,6 +70,34 @@ def test_no_assignment_to_imported_module_state(module):
     assert lines == [], f"{module} assigns to imported module state at {lines}"
 
 
+def _int_casts(tree):
+    """Lines that call int on one argument or pass int to map."""
+    return [
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Name)
+        and (
+            (n.func.id == "int" and len(n.args) + len(n.keywords) == 1)
+            or (n.func.id == "map" and getattr(n.args[0], "id", None) == "int")
+        )
+    ]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_integers_are_read_without_int_casts(module):
+    # int(x) truncates 0.5 to 0 and parses "3"; integer inputs are read
+    # through operator.index instead, and jsonio.decode_int's int(v, 10)
+    # is the one parse of a decimal string
+    lines = _int_casts(ast.parse((SRC / module).read_text()))
+    assert lines == [], f"{module} casts with int at lines {lines}"
+
+
+def test_int_cast_check_sees_both_forms():
+    tree = ast.parse("a = int(x)\nb = list(map(int, row))\nc = int(v, 10)\n")
+    assert _int_casts(tree) == [1, 2]
+
+
 def _reads(node):
     """What node reads: each `module.name` attribute read as the pair
     (module, name), and each bare name."""

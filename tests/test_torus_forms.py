@@ -316,6 +316,22 @@ def test_solver_refuses_unreachable_discrete_target():
     assert exc.value.incumbent.err == pytest.approx(0.5)
 
 
+def test_solver_runs_one_round_when_delta_is_zero(monkeypatch):
+    # with delta = 0 every round has C′ = C, and the ladder is
+    # deterministic, so a second round could only repeat the first
+    f = near_identity_targets(2, 1, seed=5)[0]
+    with pytest.raises(DidNotConverge) as one_round:
+        tf.approx_by_split_orbit(f, 1e-30, 0.0, budget=1)
+    calls = []
+    ladder = tf._ladder
+    monkeypatch.setattr(tf, "_ladder", lambda c, d: calls.append(1) or ladder(c, d))
+    with pytest.raises(DidNotConverge) as exc:
+        tf.approx_by_split_orbit(f, 1e-30, 0.0, budget=8)
+    assert len(calls) == 1
+    assert exc.value.incumbent == one_round.value.incumbent
+    assert exc.value.incumbent.rounds == 1
+
+
 def test_solver_validates_tolerances():
     f = tf.SplitBlockForm(np.eye(2), np.zeros((2, 2)))
     with pytest.raises(InvalidTolerance):
