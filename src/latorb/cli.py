@@ -262,8 +262,9 @@ def _cmd_explore(args):
     from . import orbit_explorer
     L = _lattice_of(args)
     u = _vector(args.u)
-    y0 = orbit_explorer.HyperboloidPoint(_load_json(args.y0))
-    targets = [orbit_explorer.HyperboloidPoint(t) for t in _load_json(args.targets)]
+    point = lambda data: orbit_explorer.HyperboloidPoint(map(jsonio.decode_float, data))
+    y0 = point(_load_json(args.y0))
+    targets = [point(t) for t in _load_json(args.targets)]
     records = orbit_explorer.explore(L, u, y0, targets, args.depth, seed=args.seed)
     if args.format == "csv":
         sys.stdout.write(orbit_explorer.records_to_csv(records))

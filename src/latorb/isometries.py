@@ -19,6 +19,7 @@ from .errors import (
 )
 from .lattice_core import (
     QuadLattice,
+    _check_vec,
     _dot,
     gram_column,
     is_even,
@@ -100,9 +101,7 @@ def identity_isometry(L: QuadLattice) -> Isometry:
 
 
 def apply(g: Isometry, v):
-    if len(v) != g.lattice.rank:
-        raise DimensionMismatch("vector length does not match the lattice")
-    return intlin.mat_vec(g.matrix, v)
+    return intlin.mat_vec(g.matrix, _check_vec(g.lattice, v))
 
 
 def compose(g: Isometry, h: Isometry) -> Isometry:
@@ -361,8 +360,6 @@ def map_isotropic(L: QuadLattice, u, v) -> Isometry:
     identity component; the check below is a tripwire.
     """
     for t in (u, v):
-        if len(t) != L.rank:
-            raise DimensionMismatch("vector length does not match the lattice")
         if not is_isotropic(L, t):
             raise NotIsotropic("endpoints must be isotropic")
         if not is_primitive(L, t):
@@ -385,10 +382,10 @@ def map_isotropic(L: QuadLattice, u, v) -> Isometry:
     return g
 
 
-def _columns(y):
+def _columns(L: QuadLattice, y):
     """Integer columns of y: one per symbol, each a positive multiple of
     the rational one, or y itself if it is a vector."""
-    return y.columns if hasattr(y, "columns") else (tuple(y),)
+    return y.columns if hasattr(y, "columns") else (_check_vec(L, y),)
 
 
 def _is_multiple(vec, u):
@@ -402,15 +399,14 @@ def _is_multiple(vec, u):
 
 def is_in_gu(g: Isometry, u) -> bool:
     """Stabilizer of u inside the identity component."""
-    if apply(g, u) != tuple(u):
-        return False
-    return is_in_so_plus(g)
+    u = _check_vec(g.lattice, u)
+    return apply(g, u) == u and is_in_so_plus(g)
 
 
 def is_in_hy(g: Isometry, u, y) -> bool:
     """Simultaneous stabilizer of u and of y (y may carry symbols)."""
     return is_in_gu(g, u) and all(
-        intlin.mat_vec(g.matrix, c) == c for c in _columns(y)
+        intlin.mat_vec(g.matrix, c) == c for c in _columns(g.lattice, y)
     )
 
 
@@ -422,7 +418,7 @@ def is_in_ky(g: Isometry, u, y) -> bool:
     """
     return is_in_gu(g, u) and all(
         _is_multiple([a - b for a, b in zip(intlin.mat_vec(g.matrix, c), c)], u)
-        for c in _columns(y)
+        for c in _columns(g.lattice, y)
     )
 
 

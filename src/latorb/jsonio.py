@@ -38,6 +38,15 @@ def decode_int(v):
     raise ValueError("expected an integer or a decimal string")
 
 
+def decode_float(v):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError("expected a JSON number")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError("number out of float range") from None
+
+
 def encode_vector(v):
     return [encode_int(x) for x in v]
 
@@ -88,7 +97,7 @@ def isometry_from_json(data, L: QuadLattice) -> Isometry:
 
 def symbolic_from_json(data) -> SymbolicRealVector:
     symbols = (UNIT,) + tuple(
-        Symbol(d["tag"], float(d["approx"])) for d in data.get("symbols", [])
+        Symbol(d["tag"], decode_float(d["approx"])) for d in data.get("symbols", [])
     )
     rows = [[Fraction(str(c)) for c in row] for row in data["coeffs"]]
     if any(len(row) != len(symbols) for row in rows):
@@ -115,4 +124,4 @@ def float_matrix_to_json(m):
 def float_matrix_from_json(data):
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise ValueError("matrix JSON must be a list of lists")
-    return [[float(x) for x in row] for row in data]
+    return [[decode_float(x) for x in row] for row in data]

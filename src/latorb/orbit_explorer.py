@@ -10,6 +10,7 @@ header repeats that caveat.
 """
 
 import io
+import math
 import random
 from dataclasses import dataclass
 
@@ -38,9 +39,10 @@ class HyperboloidPoint:
     coords: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coords", tuple(float(x) for x in self.coords)
-        )
+        coords = tuple(float(x) for x in self.coords)
+        if not all(map(math.isfinite, coords)):
+            raise ValueError("point coordinates must be finite")
+        object.__setattr__(self, "coords", coords)
 
     def defects(self, L: QuadLattice, u=None):
         """Returns (|(v,v) - 1|, |(v,u)|) under the lattice form."""
@@ -109,8 +111,7 @@ def explore(
     A list passed as point_sink receives the coordinates of every visited
     point, for callers auditing the walk itself.
     """
-    if u is not None:
-        u = _check_split(L, u)
+    u = _check_split(L, u)
     if generators is None:
         generators = gu_lattice_generators(L, u)
     gens = list(generators)

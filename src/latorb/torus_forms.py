@@ -41,15 +41,9 @@ def _as_float_matrix(m):
     a = np.array(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("expected a square matrix")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     return a
-
-
-def _form_matrix(omega):
-    """The matrix of a form given as a `LinearSymplecticForm` or as a
-    square matrix."""
-    if isinstance(omega, LinearSymplecticForm):
-        return omega.matrix
-    return _as_float_matrix(omega)
 
 
 def _check_complementary(l: Sublattice, lprime: Sublattice):
@@ -134,9 +128,9 @@ class IntegralShear:
         return len(self.b)
 
 
-def pfaffian(omega):
-    """Pfaffian by recursive first-row expansion."""
-    a = _form_matrix(omega)
+def pfaffian(m):
+    """Pfaffian of a square matrix by recursive first-row expansion."""
+    a = _as_float_matrix(m)
     if not np.array_equal(a, -a.T):
         raise ValueError("pfaffian needs an exactly skew matrix")
     return _pf(a)
@@ -157,8 +151,8 @@ def _pf(a):
     return float(total)
 
 
-def is_lagrangian_subspace(omega, l: Sublattice) -> bool:
-    a = _form_matrix(omega)
+def is_lagrangian_subspace(omega: LinearSymplecticForm, l: Sublattice) -> bool:
+    a = omega.matrix
     if 2 * l.rank != a.shape[0]:
         raise DimensionMismatch("plane rank must be half the dimension")
     basis = np.array(l.basis, dtype=float)
@@ -166,9 +160,11 @@ def is_lagrangian_subspace(omega, l: Sublattice) -> bool:
     return bool(np.max(np.abs(pairings)) <= VANISH_TOL)
 
 
-def to_blocks(omega, l: Sublattice, lprime: Sublattice) -> SplitBlockForm:
+def to_blocks(
+    omega: LinearSymplecticForm, l: Sublattice, lprime: Sublattice
+) -> SplitBlockForm:
     """Reads off (C, D) in the basis adapted to the pair (l, l′)."""
-    a = _form_matrix(omega)
+    a = omega.matrix
     n = a.shape[0] // 2
     if l.rank != n or lprime.rank != n:
         raise DimensionMismatch("both planes must have half rank")
@@ -322,11 +318,6 @@ class SolveResult:
     rounds: int
 
 
-def _skew_upper(m):
-    n = m.shape[0]
-    return np.array([m[i, j] for i in range(n) for j in range(i + 1, n)])
-
-
 def _over_common_denominator(rows):
     """Float rows as integer rows over one power-of-two denominator: every
     float is a dyadic rational, so the largest denominator serves them all."""
@@ -335,14 +326,13 @@ def _over_common_denominator(rows):
     return [[p * (den // q) for p, q in row] for row in ratios], den
 
 
-def _directions(cprime):
+def _directions(c):
     """Skew-upper coordinates of C′E_ij − (C′E_ij)ᵀ, one row per entry of B
-    in row-major order, as integer rows over one denominator.  Coordinate
-    (a, b) is C′_ai if b = j, −C′_bi if a = j, and 0 otherwise, so the rows
-    are exact."""
-    n = len(cprime)
-    c, den = _over_common_denominator(cprime)
-    dirs = tuple(
+    in row-major order, from C′ as integer rows c over a denominator they
+    share.  Coordinate (a, b) is c_ai if b = j, −c_bi if a = j, and 0
+    otherwise, so the rows are exact."""
+    n = len(c)
+    return tuple(
         tuple(
             (c[a][i] if b == j else 0) - (c[b][i] if a == j else 0)
             for a in range(n)
@@ -351,12 +341,11 @@ def _directions(cprime):
         for i in range(n)
         for j in range(n)
     )
-    return dirs, den
 
 
 def _lifted_rows(u, dirs, den, mu):
-    """Rows of U·[μI | dirs/μ], each entry rounded once from its exact value
-    (an integer quotient, which Python rounds correctly)."""
+    """Rows of U·[μI | dirs/(den·μ)], each entry rounded once from its exact
+    value (an integer quotient, which Python rounds correctly)."""
     p, q = mu.as_integer_ratio()
     return [
         np.array([x * p / q for x in row] + [s * q / (den * p) for s in srow])
@@ -367,39 +356,34 @@ def _lifted_rows(u, dirs, den, mu):
 _WEIGHTS = tuple(10.0 ** (-e) for e in range(10))
 
 
-def _ladder(cprime, d):
-    """Candidate B for each embedding weight μ = 10⁰ … 10⁻⁹.
+def _ladder(dirs, den, rhs):
+    """Flattened candidate B for each embedding weight μ = 10⁰ … 10⁻⁹: the
+    closest-vector engine for direction rows dirs over the denominator den
+    and the real target rhs.
 
-    At weight μ a lattice point c·[μI | dirs/μ] is near the target
-    [0 | D/μ] when C′B − (C′B)ᵀ, with B the entries of c, is near D; Babai
-    on the reduced basis gives c.  From one weight to the next the lattice
-    changes only by scaling the dirs block by 100 (up to an overall
-    factor), so each rung starts from the previous rung's reduced basis,
-    U·[μI | dirs/μ] with U the integer transform so far, instead of the
-    raw embedding, and LLL only repairs what the rescaling disturbed.
+    At weight μ a lattice point c·[μI | dirs/(den·μ)] is near the target
+    [0 | rhs/μ] when c·dirs/den is near rhs; Babai on the reduced basis
+    gives c.  From one weight to the next the lattice changes only by
+    scaling the dirs block by 100 (up to an overall factor), so each rung
+    starts from the previous rung's reduced basis, U·[μI | dirs/(den·μ)]
+    with U the integer transform so far, instead of the raw embedding, and
+    LLL only repairs what the rescaling disturbed.
     """
-    n = len(cprime)
-    k = n * n
-    dirs, den = _directions(cprime)
-    rhs = _skew_upper(d)
+    k = len(dirs)
     u = intlin.identity(k)
     for mu in _WEIGHTS:
         reduced, t, star, norms = _lll(_lifted_rows(u, dirs, den, mu))
         u = intlin.mat_mul(t, u)
-        target = np.concatenate([np.zeros(k), rhs / mu])
-        coeffs = _babai(reduced, u, star, norms, target)
-        yield tuple(tuple(coeffs[i * n : (i + 1) * n]) for i in range(n))
+        target = np.concatenate([np.zeros(k), np.array(rhs) / mu])
+        yield _babai(reduced, u, star, norms, target)
 
 
-def _residual_bound(c, d, den, b):
-    """Smallest float ≥ max|C′B − (C′B)ᵀ − D|, from exact integers: c and d
-    are C′ and D as integer rows over the common denominator den."""
-    n = len(b)
-    cb = intlin.mat_mul(c, b)
-    # D is exactly skew, so the entries above the diagonal hold the maximum
-    top = max(
-        abs(cb[i][j] - cb[j][i] - d[i][j]) for i in range(n) for j in range(i + 1, n)
-    )
+def _residual_bound(cols, dup, den, coeffs):
+    """Smallest float ≥ max|coeffs·dirs − dup| / den, from exact integers:
+    cols is the transpose of the direction rows dirs and dup the integers
+    of D above the diagonal over den.  Row (i, j) of dirs is the image of
+    E_ij, so with coeffs the flattened B this is max|C′B − (C′B)ᵀ − D|."""
+    top = max(abs(x - y) for x, y in zip(intlin.mat_vec(cols, coeffs), dup))
     bound = top / den
     p, q = bound.as_integer_ratio()
     return bound if p * den >= top * q else math.nextafter(bound, math.inf)
@@ -423,45 +407,43 @@ def approx_by_split_orbit(
         raise InvalidTolerance("need finite eps > 0 and finite delta >= 0")
     if budget < 1:
         raise InvalidTolerance("budget must be at least one round")
-    c = target.c
-    d = target.d
-    n = target.n
-    zero_b = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-    as_tuple = lambda m: tuple(tuple(float(x) for x in row) for row in m)
+    c, d, n = target.c, target.d, target.n
+    as_tuple = lambda m: tuple(map(tuple, m.tolist()))
     if not d.any():
-        return SolveResult(as_tuple(c), zero_b, 0.0, 0)
+        return SolveResult(as_tuple(c), ((0,) * n,) * n, 0.0, 0)
     rng = np.random.default_rng(seed)
-    best_key = best = None
+    best = None  # (score, flattened B, C′, round)
     for round_no in range(1, budget + 1):
-        if round_no == 1:
-            cprime = c
-        else:
-            for _ in range(32):
-                pert = rng.uniform(-delta / 2, delta / 2, size=(n, n))
-                cand = c + pert
-                det = np.linalg.det(cand)
-                if det <= 0:
-                    continue
-                cand = cand * det ** (-1.0 / n)
-                if np.max(np.abs(cand - c)) <= delta:
-                    cprime = cand
-                    break
-            else:
-                cprime = c
+        # the first round keeps C; a later one keeps C if no draw fits
+        cprime = c
+        for _ in range(32 if round_no > 1 else 0):
+            pert = rng.uniform(-delta / 2, delta / 2, size=(n, n))
+            cand = c + pert
+            det = np.linalg.det(cand)
+            if det <= 0:
+                continue
+            cand = cand * det ** (-1.0 / n)
+            if np.max(np.abs(cand - c)) <= delta:
+                cprime = cand
+                break
         ints, den = _over_common_denominator([*cprime, *d])
-        cints, dints = ints[:n], ints[n:]
-        for b in _ladder(cprime, d):
-            key = (_residual_bound(cints, dints, den, b), [x for row in b for x in row])
-            if best is None or key < best_key:
-                best_key = key
-                best = SolveResult(as_tuple(cprime), b, key[0], round_no)
-        if best.err <= eps:
-            return best
-        if delta == 0:
+        dirs = _directions(ints[:n])
+        dup = [ints[n + i][j] for i in range(n) for j in range(i + 1, n)]
+        cols = intlin.transpose(dirs)
+        for coeffs in _ladder(dirs, den, [x / den for x in dup]):
+            key = (_residual_bound(cols, dup, den, coeffs), coeffs)
+            if best is None or key < best[:2]:
+                best = (*key, cprime, round_no)
+        if best[0] <= eps or delta == 0:
             break
+    err, coeffs, cprime, round_no = best
+    b = tuple(tuple(coeffs[i * n : (i + 1) * n]) for i in range(n))
+    res = SolveResult(as_tuple(cprime), b, err, round_no)
+    if err <= eps:
+        return res
     raise DidNotConverge(
         "no shear image reached the requested accuracy within budget",
-        incumbent=best,
+        incumbent=res,
     )
 
 

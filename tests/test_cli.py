@@ -119,6 +119,16 @@ def test_jsonio_int_codec_round_trip():
         jsonio.decode_int(1.5)
 
 
+def test_jsonio_float_reader_takes_json_numbers_only():
+    assert jsonio.decode_float(3) == 3.0 and type(jsonio.decode_float(3)) is float
+    assert jsonio.decode_float(-0.25) == -0.25
+    for bad in (True, False, "1.5", None, [1.0], 10 ** 400):
+        with pytest.raises(ValueError):
+            jsonio.decode_float(bad)
+    with pytest.raises(ValueError):
+        jsonio.float_matrix_from_json([[1.0, "0"], [0.0, 1.0]])
+
+
 # U ⊕ U ⊕ <1>: odd, so no hyperbolic plane splits off at u
 ODD_LATTICE = json.dumps(
     {"gram": [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0],
@@ -441,6 +451,42 @@ def test_negative_float_literal_is_a_value(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"] == "InvalidTolerance"
+
+
+Y0_T4 = "[0.0,0.0,0.594603557501361,0.8408964152537145,0.0,0.0]"
+SYMBOLIC_Y_STRING_APPROX = SYMBOLIC_Y.replace("1.4142135623730951", '"1.4142135623730951"')
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("torus", "approx", "--eps", "1e-2", "--target",
+         '{"C":[[NaN,0.0],[0.0,1.0]],"D":[[0.0,0.0],[0.0,0.0]]}'),
+        ("torus", "approx", "--eps", "1e-2", "--target",
+         '{"C":[[1.0,0.0],[0.0,1.0]],"D":[[0.0,Infinity],[-Infinity,0.0]]}'),
+        ("torus", "blocks", "--omega", "[[0.0,NaN],[NaN,0.0]]",
+         "--l", "[[1,0]]", "--lprime", "[[0,1]]"),
+        ("explore", "--model", "t4", "--u", T4_U, "--y0", Y0_T4,
+         "--targets", "[[NaN,0.0,1.0,0.5,0.0,0.0]]", "--depth", "1"),
+        ("torus", "act", "--form", '{"C":[["1",0.0],[0.0,1.0]],"D":[[0.0,0.0],[0.0,0.0]]}',
+         "--shear", '{"B":[[0,0],[0,0]]}'),
+        ("torus", "act", "--form", '{"C":[[1.0,0.0],[0.0,true]],"D":[[0.0,0.0],[0.0,0.0]]}',
+         "--shear", '{"B":[[0,0],[0,0]]}'),
+        ("explore", "--model", "t4", "--u", T4_U, "--y0", Y0_T4.replace("0.0,0.0]", '0.0,"0"]'),
+         "--targets", "[[0.0,0.0,1.0,0.5,0.0,0.0]]", "--depth", "1"),
+        ("explore", "--model", "t4", "--u", T4_U, "--y0", Y0_T4,
+         "--targets", "[[0.0,0.0,1.0,0.5,0.0,false]]", "--depth", "1"),
+        ("irr", "certify", "--model", "t4", "--y", SYMBOLIC_Y_STRING_APPROX, "--height", "1"),
+    ],
+    ids=["nan-C", "infinite-D", "nan-omega", "nan-target", "string-C", "boolean-C",
+         "string-y0", "boolean-target", "string-approx"],
+)
+def test_float_inputs_are_finite_json_numbers(capsys, argv):
+    # NaN, ±Infinity, strings and booleans in a float field are input
+    # errors: nothing is printed and the exit code is 1
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("input error:")
 
 
 def test_explore_has_no_dedup_tol_option(capsys):

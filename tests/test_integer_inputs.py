@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from latorb import jsonio, orbit_explorer as oe, torus_forms as tf
-from latorb.isometries import Isometry
+from latorb.isometries import Isometry, apply, identity_isometry, is_in_gu, is_in_hy, is_in_ky
 from latorb.lattice_core import QuadLattice, Sublattice, hyperbolic, inner, t4_model
 
 Y0 = oe.HyperboloidPoint((0.0, 0.0, 0.594603557501361, 0.8408964152537145, 0.0, 0.0))
@@ -14,6 +14,10 @@ Y0 = oe.HyperboloidPoint((0.0, 0.0, 0.594603557501361, 0.8408964152537145, 0.0, 
 
 def _wedge(x):
     return tf.wedge_square_action(((x, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+
+
+def _t4_identity():
+    return identity_isometry(t4_model())
 
 
 # each builds valid input around the one entry x, which is 1 when valid
@@ -26,6 +30,10 @@ READERS = {
     "IntegralShear.a": lambda x: tf.IntegralShear(((0,),), ((x,),)).a,
     "wedge_square_action": lambda x: _wedge(x).matrix,
     "explore": lambda x: oe.explore(t4_model(), (x, 0, 0, 0, 0, 0), Y0, [Y0], 0),
+    "apply": lambda x: apply(_t4_identity(), (x, 0, 0, 0, 0, 0)),
+    "is_in_gu": lambda x: is_in_gu(_t4_identity(), (x, 0, 0, 0, 0, 0)),
+    "is_in_hy": lambda x: is_in_hy(_t4_identity(), (1, 0, 0, 0, 0, 0), (0, 0, x, 0, 0, 0)),
+    "is_in_ky": lambda x: is_in_ky(_t4_identity(), (1, 0, 0, 0, 0, 0), (0, 0, x, 0, 0, 0)),
     "encode_int": jsonio.encode_int,
 }
 

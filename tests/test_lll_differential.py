@@ -127,10 +127,29 @@ def test_lifted_rows_are_exactly_rounded(inputs):
     # each rung starts from U·[μI | dirs/μ], every entry the float nearest
     # its exact value; at U = I, μ = 1 that is the raw embedding
     cprime, u = inputs
-    dirs, den = tf._directions(np.array(cprime))
+    c, den = tf._over_common_denominator(cprime)
+    dirs = tf._directions(c)
     for mu in tf._WEIGHTS:
         rows = tf._lifted_rows(u, dirs, den, mu)
         assert [list(r) for r in rows] == reference_lifted_rows(u, cprime, mu)
+
+
+@DRAWN
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-10**20, 10**20), min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n),
+             min_size=n, max_size=n),
+)))
+def test_direction_rows_map_b_to_the_skew_part_of_cb(inputs):
+    # row (i, j) of the directions is the image of E_ij, so the flattened B
+    # times the directions is the upper triangle of C′B − (C′B)ᵀ
+    c, b = inputs
+    n = len(c)
+    cb = intlin.mat_mul(c, b)
+    flat_b = [x for row in b for x in row]
+    image = intlin.mat_vec(intlin.transpose(tf._directions(c)), flat_b)
+    assert list(image) == [cb[i][j] - cb[j][i] for i in range(n) for j in range(i + 1, n)]
 
 
 def _relation_embedding(c):

@@ -112,6 +112,18 @@ def test_explore_rejects_bad_u_and_empty_generators():
         oe.explore(L, (2, 0, 0, 0, 0, 0), y0, [y0], depth=1)
     with pytest.raises(ValueError):
         oe.explore(L, U_VEC, y0, [y0], depth=1, generators=[])
+    # u is checked when the generators are given too, and cannot be left out
+    gens = gu_lattice_generators(L, U_VEC)[:1]
+    with pytest.raises(NotIsotropic):
+        oe.explore(L, (1, 1, 0, 0, 0, 0), y0, [y0], depth=1, generators=gens)
+    with pytest.raises(TypeError):
+        oe.explore(L, None, y0, [y0], depth=1, generators=gens)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_hyperboloid_points_are_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        oe.HyperboloidPoint((0.0, 0.0, bad, 0.5, 0.0, 0.0))
 
 
 def test_explorer_tolerances_are_read_at_call_time(monkeypatch):

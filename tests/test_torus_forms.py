@@ -69,7 +69,7 @@ def random_shear(rng, n=2, with_a=True):
 
 def test_darboux_pfaffian_is_one():
     for n in (1, 2, 3, 4):
-        assert tf.pfaffian(darboux(n)) == 1.0
+        assert tf.pfaffian(darboux(n).matrix) == 1.0
 
 
 def test_pfaffian_squares_to_determinant():
@@ -115,6 +115,20 @@ def test_pfaffian_rejects_bad_input():
         tf.pfaffian(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         tf.pfaffian(np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_entries_are_rejected(bad):
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    skew = np.array([[0.0, bad], [-bad, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        tf.SplitBlockForm(np.array([[bad, 0.0], [0.0, 1.0]]), zero)
+    with pytest.raises(ValueError, match="finite"):
+        tf.SplitBlockForm(eye, skew)
+    with pytest.raises(ValueError, match="finite"):
+        tf.LinearSymplecticForm(skew)
+    with pytest.raises(ValueError, match="finite"):
+        tf.pfaffian(skew)
 
 
 def test_degenerate_form_is_rejected_at_construction():
@@ -324,7 +338,7 @@ def test_solver_runs_one_round_when_delta_is_zero(monkeypatch):
         tf.approx_by_split_orbit(f, 1e-30, 0.0, budget=1)
     calls = []
     ladder = tf._ladder
-    monkeypatch.setattr(tf, "_ladder", lambda c, d: calls.append(1) or ladder(c, d))
+    monkeypatch.setattr(tf, "_ladder", lambda *args: calls.append(1) or ladder(*args))
     with pytest.raises(DidNotConverge) as exc:
         tf.approx_by_split_orbit(f, 1e-30, 0.0, budget=8)
     assert len(calls) == 1
@@ -414,6 +428,32 @@ def _hex(m):
 # sha256 of the recorded inputs, [[C, D], ...] in hex as first recorded:
 # a re-record of the outputs must leave the inputs byte for byte alone
 GOLDEN_INPUTS_SHA256 = "bb90518ac592b5547c40e2380f637e8b31da1d2efaeb56de10fa9c72818baeff"
+# the same for the n = 4 and incumbent cases, [[C, D, eps, budget], ...]
+INCUMBENT_INPUTS_SHA256 = "f99292631f353da2fe4a0d0ac18ba4d22735eee804a15633b804925b9254a143"
+
+
+def _check_golden_case(case, eps, budget=8):
+    # every recorded answer is a true one: err bounds its exact residual
+    # tightly, converged answers meet eps, C′ is within δ
+    c, d = _unhex(case["C"]), _unhex(case["D"])
+    exact = exact_skew_residual(_unhex(case["cprime"]), case["b"], d)
+    assert is_least_float_bound(float.fromhex(case["err"]), exact)
+    assert exact <= eps or not case["converged"]
+    assert max(
+        abs(Fraction(x) - Fraction(y))
+        for x, y in zip(_unhex(case["cprime"]).flat, c.flat)
+    ) <= 0.1
+    f = tf.SplitBlockForm(c, d)
+    try:
+        res = tf.approx_by_split_orbit(f, eps, 0.1, budget=budget)
+        converged = True
+    except DidNotConverge as exc:
+        res, converged = exc.incumbent, False
+    assert converged == case["converged"]
+    assert _hex(res.cprime) == case["cprime"]
+    assert [list(r) for r in res.b] == case["b"]
+    assert res.err.hex() == case["err"]
+    assert res.rounds == case["rounds"]
 
 
 def test_solver_golden_outputs():
@@ -421,27 +461,19 @@ def test_solver_golden_outputs():
     inputs = json.dumps([[case["C"], case["D"]] for case in GOLDEN["solves"]])
     assert hashlib.sha256(inputs.encode()).hexdigest() == GOLDEN_INPUTS_SHA256
     for case in GOLDEN["solves"]:
-        # every recorded answer is a true one: err bounds its exact
-        # residual tightly, converged answers meet eps, C′ is within δ
-        c, d = _unhex(case["C"]), _unhex(case["D"])
-        exact = exact_skew_residual(_unhex(case["cprime"]), case["b"], d)
-        assert is_least_float_bound(float.fromhex(case["err"]), exact)
-        assert exact <= 1e-6 or not case["converged"]
-        assert max(
-            abs(Fraction(x) - Fraction(y))
-            for x, y in zip(_unhex(case["cprime"]).flat, c.flat)
-        ) <= 0.1
-        f = tf.SplitBlockForm(c, d)
-        try:
-            res = tf.approx_by_split_orbit(f, 1e-6, 0.1)
-            converged = True
-        except DidNotConverge as exc:
-            res, converged = exc.incumbent, False
-        assert converged == case["converged"]
-        assert _hex(res.cprime) == case["cprime"]
-        assert [list(r) for r in res.b] == case["b"]
-        assert res.err.hex() == case["err"]
-        assert res.rounds == case["rounds"]
+        _check_golden_case(case, 1e-6)
+
+
+def test_solver_golden_n4_and_incumbents():
+    # n = 4 answers at eps 1e-6, and DidNotConverge incumbents at eps
+    # 1e-30 with a budget of two rounds, at n = 2, 3 and 4, at δ 0.1
+    cases = GOLDEN["n4_and_incumbents"]
+    inputs = json.dumps([[c["C"], c["D"], c["eps"], c["budget"]] for c in cases])
+    assert hashlib.sha256(inputs.encode()).hexdigest() == INCUMBENT_INPUTS_SHA256
+    assert {len(c["C"]) for c in cases} == {2, 3, 4}
+    assert {c["rounds"] for c in cases if not c["converged"]} == {1, 2}
+    for case in cases:
+        _check_golden_case(case, float.fromhex(case["eps"]), case["budget"])
 
 
 def near_identity_targets(n, count, seed):
@@ -469,8 +501,12 @@ def test_solver_answer_is_the_exact_minimizer_of_its_round():
             res = tf.approx_by_split_orbit(f, 1e-6, 0.1)
         except DidNotConverge:
             continue
+        n = f.n
+        ints, den = tf._over_common_denominator([*res.cprime, *f.d])
+        rhs = [ints[n + i][j] / den for i in range(n) for j in range(i + 1, n)]
+        reshape = lambda coeffs: tuple(tuple(coeffs[i * n : (i + 1) * n]) for i in range(n))
         best = min(
-            tf._ladder(res.cprime, f.d),
+            map(reshape, tf._ladder(tf._directions(ints[:n]), den, rhs)),
             key=lambda b: (
                 exact_skew_residual(res.cprime, b, f.d),
                 [x for row in b for x in row],
