@@ -178,21 +178,20 @@ def is_u_orthoirrational(L: QuadLattice, u, y: SymbolicRealVector) -> bool:
     return intlin.rational_rank([_check_split(L, u), *y.columns]) >= 3
 
 
-def _integer_roots(a, b, c, lo, hi):
-    """Integers x in [lo, hi] with a·x² + 2b·x + c = 0, increasing."""
+def _integer_roots(a, b, c):
+    """Integers x with a·x² + 2b·x + c = 0, increasing; None when every
+    integer is one."""
     if a == 0:
         if b == 0:
-            return range(lo, hi + 1) if c == 0 else ()
-        roots = [-c // (2 * b)] if c % (2 * b) == 0 else []
-    else:
-        disc = b * b - a * c
-        if disc < 0:
-            return ()
-        s = math.isqrt(disc)
-        if s * s != disc:
-            return ()
-        roots = sorted({(t - b) // a for t in (-s, s) if (t - b) % a == 0})
-    return [x for x in roots if lo <= x <= hi]
+            return None if c == 0 else ()
+        return [-c // (2 * b)] if c % (2 * b) == 0 else ()
+    disc = b * b - a * c
+    if disc < 0:
+        return ()
+    s = math.isqrt(disc)
+    if s * s != disc:
+        return ()
+    return sorted({(t - b) // a for t in (-s, s) if (t - b) % a == 0})
 
 
 def _isotropic_walk(L: QuadLattice, basis, height):
@@ -206,25 +205,27 @@ def _isotropic_walk(L: QuadLattice, basis, height):
     intersection of the intervals of the nonzero b_i, empty when a zero
     b_i leaves an out-of-range v_i.  v[p_j] increases with c_j, so the
     depth-first order is lexicographic, and the first nonzero c_j positive
-    picks the representative whose leading entry is positive.  At the
-    last level Q(w + c·b_k) is a quadratic in c, solved exactly within
-    the window from the Gram of the basis and the running pairings (w, b_i).
+    picks the representative whose leading entry is positive.  One vector
+    v is updated in place.  The level above the last solves the last one
+    inline: the integer roots of Q(v + c·b_k) = a·c² + 2b·c + q, at most
+    two, are held to the height (at v = 0 the only root is 0, so no sign
+    test is needed), and only a quadratic that vanishes identically takes
+    the window.  Each window's vectors come out together.
     """
     n, k = L.rank, len(basis)
     height = math.floor(height)  # integer coordinates: |v_i| ≤ ⌊height⌋
-    pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
-    ends = pivots[1:] + [n]
-    # past each pivot, the coordinates its level fixes that some row up to
-    # it touches: the others stay 0
-    fixed = [
-        [(i, b[i]) for i in range(p + 1, e) if any(r[i] for r in basis[: j + 1])]
-        for j, (b, p, e) in enumerate(zip(basis, pivots, ends))
-    ]
     steps = [[(i, x) for i, x in enumerate(b) if x] for b in basis]
+    pivots = [st[0][0] for st in steps]
+    cols = list(zip(*basis))
+    # past each pivot, the coordinates its level fixes that some row up to
+    # it touches, with the level's entries: the others stay 0
+    fixed = [[(i, b[i]) for i in range(p + 1, e) if any(cols[i][: j + 1])]
+             for j, (b, p, e) in enumerate(zip(basis, pivots, pivots[1:] + [n]))]
     columns = [gram_column(L, b) for b in basis]
     gram = [[_dot(b, c) for c in columns] for b in basis]
+    v = [0] * n
 
-    def level(j, v, pair, q, started):
+    def window(j, started):
         p = pivots[j]
         lo, hi = -((height + v[p]) // basis[j][p]), (height - v[p]) // basis[j][p]
         if not started:
@@ -235,26 +236,52 @@ def _isotropic_walk(L: QuadLattice, basis, height):
             elif x < 0:
                 lo, hi = max(lo, -((v[i] - height) // x)), min(hi, -(height + v[i]) // x)
             elif abs(v[i]) > height:
-                return
-        last = j == k - 1
-        cs = _integer_roots(gram[j][j], pair[j], q, lo, hi) if last else range(lo, hi + 1)
-        for c in cs:
-            w = v[:]
-            for i, x in steps[j]:
-                w[i] += c * x
-            if not last:
-                yield from level(
-                    j + 1,
-                    w,
-                    [x + c * y for x, y in zip(pair, gram[j])],
-                    q + c * (2 * pair[j] + c * gram[j][j]),
-                    started or c != 0,
-                )
-            elif math.gcd(*w) == 1:  # also drops the zero vector
-                yield tuple(w)
+                return ()
+        return range(lo, hi + 1)
 
-    if k:
-        yield from level(0, [0] * n, [0] * k, 0, False)
+    def shift(j, c):
+        for i, x in steps[j]:
+            v[i] += c * x
+
+    def level(j, pair, q, started):  # pair[i] = (v, b_i), q = (v, v)
+        cs, g = window(j, started), gram[j]
+        if j < k - 2:
+            for c in cs:
+                shift(j, c)
+                yield from level(j + 1, [x + c * y for x, y in zip(pair, g)],
+                                 q + c * (2 * pair[j] + c * g[j]), started or c != 0)
+                shift(j, -c)
+        elif cs:  # the last level inline; b_j is added once per step of c
+            shift(j, cs[0])
+            q += cs[0] * (2 * pair[j] + cs[0] * g[j])
+            # s = (v, b_j) and b = (v, b_k) step with c as q does
+            s, b, out = pair[j] + cs[0] * g[j], pair[-1] + cs[0] * g[-1], []
+            for c in cs:
+                roots = _integer_roots(gram[-1][-1], b, q)
+                for d in window(k - 1, started or c != 0) if roots is None else roots:
+                    w = v[:]
+                    for i, x in steps[-1]:
+                        w[i] += d * x
+                    if -height <= min(w) and max(w) <= height and math.gcd(*w) == 1:
+                        out.append(tuple(w))  # gcd 1 also drops w = 0
+                q, s, b = q + 2 * s + g[j], s + g[j], b + g[-1]
+                for i, x in steps[j]:
+                    v[i] += x
+            shift(j, -cs.stop)
+            yield from out
+
+    if k > 1:
+        yield from level(0, [0] * k, 0, False)
+    elif k and gram[0][0] == 0 and math.gcd(*basis[0]) == 1 and max(map(abs, basis[0])) <= height:
+        yield tuple(basis[0])  # the one primitive multiple with a positive pivot
+
+
+def _check_height(height):
+    """Refuses a height that is not a finite real number."""
+    if isinstance(height, (bool, str)):
+        raise TypeError("height must be a real number")
+    if not -math.inf < height < math.inf:
+        raise ValueError("height must be finite")
 
 
 def find_isotropic_orthogonal(L: QuadLattice, y: SymbolicRealVector, height):
@@ -265,11 +292,12 @@ def find_isotropic_orthogonal(L: QuadLattice, y: SymbolicRealVector, height):
     Each level's coefficient runs over the exact window of integers that
     keeps every coordinate the level fixes within the height, so no
     branch is built only to be dropped; the last coefficient is the
-    integer root of a quadratic, so only isotropic vectors come out.  One
-    representative per ±pair (leading entry positive), produced in
-    lexicographic order.  Below height 1 the walk yields nothing, but y is
-    still checked against the lattice.
+    integer root of a quadratic, solved before any window is, so only
+    isotropic vectors come out.  One representative per ±pair (leading
+    entry positive), in lexicographic order.  height must be a finite real
+    number; below 1 the walk yields nothing, but y is still checked.
     """
+    _check_height(height)
     return list(_isotropic_walk(L, rational_constraint_lattice(L, y).basis, height))
 
 
@@ -306,10 +334,12 @@ def certify_orthoisotropic_irrational(
     first failing u, or Inconclusive when none lies within the height.
 
     Each search is a lexicographic walk as in `find_isotropic_orthogonal`,
-    consumed lazily up to its first vector.  The radical's walk has the
-    same order and sign convention as the walk over y^⊥ ∩ Λ, so its first
-    vector is the first failing u of the full sorted list.
+    consumed lazily up to the window that holds its first vector.  The
+    radical's walk has the same order and sign convention as the walk over
+    y^⊥ ∩ Λ, so its first vector is the first failing u of the full sorted
+    list.
     """
+    _check_height(height)
     if certified_norm_sign(L, y) < 0:
         raise NotPositiveNorm("y must have positive norm")
     perp = rational_constraint_lattice(L, y)

@@ -39,7 +39,10 @@ class HyperboloidPoint:
     coords: tuple
 
     def __post_init__(self):
-        coords = tuple(float(x) for x in self.coords)
+        coords = tuple(self.coords)
+        if any(isinstance(x, (bool, np.bool_, str, bytes)) for x in coords):
+            raise TypeError("point coordinates must be real numbers")
+        coords = tuple(map(float, coords))
         if not all(map(math.isfinite, coords)):
             raise ValueError("point coordinates must be finite")
         object.__setattr__(self, "coords", coords)

@@ -38,7 +38,12 @@ LLL_MAX_STEPS = 200_000
 
 
 def _as_float_matrix(m):
-    a = np.array(m, dtype=float)
+    """m as a float array; bools and strings raise TypeError, where a float
+    array would read True as 1.0 and parse "0.5"."""
+    a = np.array(m, dtype=object)
+    if any(isinstance(x, (bool, np.bool_, str, bytes)) for x in a.flat):
+        raise TypeError("matrix entries must be real numbers")
+    a = a.astype(float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("expected a square matrix")
     if not np.isfinite(a).all():

@@ -1,6 +1,7 @@
 """Every reader of integer input takes integers only: a float or a string
 raises TypeError instead of being truncated or parsed, and a numpy integer
-is read as the Python int of the same value."""
+is read as the Python int of the same value.  Every reader of float input
+refuses bools and strings the same way, and reads numpy floats."""
 
 import numpy as np
 import pytest
@@ -56,3 +57,26 @@ def test_numpy_integers_are_read_as_ints(name):
     out = READERS[name](np.int64(1))
     assert out == READERS[name](1)
     assert all(type(x) is not np.int64 for x in _leaves(out))
+
+
+# each builds valid float input around the one entry x, which is 1.0 when valid
+FLOAT_READERS = {
+    "SplitBlockForm.c": lambda x: tf.SplitBlockForm([[x, 0.0], [0.0, 1.0]], [[0.0] * 2] * 2).c,
+    "SplitBlockForm.d": lambda x: tf.SplitBlockForm(np.eye(2), [[0.0, x], [-1.0, 0.0]]).d,
+    "LinearSymplecticForm": lambda x: tf.LinearSymplecticForm([[0.0, x], [-1.0, 0.0]]).matrix,
+    "pfaffian": lambda x: tf.pfaffian([[0.0, x], [-1.0, 0.0]]),
+    "HyperboloidPoint": lambda x: oe.HyperboloidPoint((x, 0.0, 0.0, 0.0, 0.0, 0.0)).coords,
+}
+
+
+@pytest.mark.parametrize("bad", ["1", b"1", True, np.True_], ids=["str", "bytes", "bool", "np.bool_"])
+@pytest.mark.parametrize("name", sorted(FLOAT_READERS))
+def test_bool_and_string_float_entries_are_rejected(name, bad):
+    with pytest.raises(TypeError):
+        FLOAT_READERS[name](bad)
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_READERS))
+def test_numpy_floats_are_read(name):
+    assert np.array_equal(FLOAT_READERS[name](np.float64(1.0)), FLOAT_READERS[name](1.0))
+    assert np.array_equal(FLOAT_READERS[name](np.float32(1.0)), FLOAT_READERS[name](1))

@@ -45,7 +45,7 @@ from latorb.irrationality import (
     symbolic_inner,
     transform,
 )
-from latorb.isometries import compose, gu_lattice_generators, identity_isometry
+from latorb.isometries import compose, gu_lattice_generators, identity_isometry, invert
 from latorb.lattice_core import (
     QuadLattice,
     direct_sum,
@@ -391,6 +391,84 @@ def test_walk_matches_the_box_on_any_echelon_basis(case, height):
     L, basis = case
     assert list(irrationality._isotropic_walk(L, basis, height)) == \
         box_isotropic_walk(L, basis, height)
+
+
+U2 = direct_sum(hyperbolic(), hyperbolic())  # e1·e2 = e3·e4 = 1
+
+
+def _walk_and_box(L, basis, height):
+    walk = list(irrationality._isotropic_walk(L, basis, height))
+    assert walk == box_isotropic_walk(L, basis, height)
+    return walk
+
+
+def test_last_level_takes_the_window_when_its_quadratic_vanishes():
+    # e1 and e3 span a totally isotropic plane: at every c1 the last
+    # quadratic is 0 = 0, and the whole window of c2 comes out
+    walk = _walk_and_box(U2, [[1, 0, 0, 0], [0, 0, 1, 0]], 2)
+    assert [u for u in walk if u[0] == 1] == [(1, 0, c, 0) for c in range(-2, 3)]
+
+
+def test_last_level_drops_a_root_that_is_not_an_integer():
+    # (b1, b1) = 2 and (b1, e3) = 2: at c1 = 1 the last level is linear,
+    # 4c + 2 = 0, with the root −1/2
+    assert _walk_and_box(U2, [[1, 1, 0, 2], [0, 0, 1, 0]], 2) == [(0, 0, 1, 0)]
+
+
+def test_last_level_keeps_only_positive_multiples_after_a_zero_prefix():
+    # with every earlier coefficient 0, v = 0 and the last quadratic is
+    # a·c²: for a ≠ 0 its one root 0 gives the zero vector, and for a = 0
+    # the window starts at 0, so −b_k never comes out although it is a root
+    walk = _walk_and_box(U2, [[1, 0, 0, 0], [0, 0, 1, 0]], 2)
+    assert (0, 0, 1, 0) in walk and (0, 0, -1, 0) not in walk
+    assert _walk_and_box(U2, [[1, 0, 0, 0], [0, 0, 1, 1]], 2) == [(1, 0, 0, 0)]
+
+
+def test_last_level_holds_its_roots_to_the_height():
+    # b1 = e1 + 3e4 puts 3 on e4, past the last pivot, where b2 = e3 has 0:
+    # at c1 = 1 the root c2 = 0 gives the isotropic primitive (1, 0, 0, 3),
+    # one entry over the height
+    assert _walk_and_box(U2, [[1, 0, 0, 3], [0, 0, 1, 0]], 2) == [(0, 0, 1, 0)]
+
+
+def test_walk_matches_the_box_on_moved_t4_classes():
+    # the inputs the benchmark times: its two T4 classes moved by words of
+    # length 1-3 in the stabilizer generators of x1, so walks over
+    # constraint lattices of rank 5 and 4 at heights 2 and 3
+    gens = gu_lattice_generators(T4, X1)
+    rng = random.Random(24)
+    ranks = set()
+    for y0 in (rational_vector((0, 0, 1, 1, 0, 0)), Y_IRR):
+        for length in (1, 2, 3, 1, 2, 3):
+            g = identity_isometry(T4)
+            for _ in range(length):
+                h = rng.choice(gens)
+                g = compose(g, invert(h) if rng.random() < 0.5 else h)
+            y = transform(g, y0)
+            basis = rational_constraint_lattice(T4, y).basis
+            ranks.add(len(basis))
+            for height in (2, 3):
+                assert find_isotropic_orthogonal(T4, y, height) == \
+                    box_isotropic_walk(T4, basis, height)
+                assert certify_orthoisotropic_irrational(T4, y, height) == \
+                    reference_certify(T4, y, height)
+    assert ranks == {4, 5}
+
+
+@pytest.mark.parametrize(
+    "height, error",
+    [(True, TypeError), ("2", TypeError), (math.nan, ValueError),
+     (math.inf, ValueError), (-math.inf, ValueError)],
+)
+def test_height_is_checked_up_front(height, error):
+    # before y is read: a class of the wrong length still fails on height
+    bad_y = rational_vector((1, 0, 0, 0, 0))
+    for search in (find_isotropic_orthogonal, certify_orthoisotropic_irrational):
+        with pytest.raises(error):
+            search(T4, Y_IRR, height)
+        with pytest.raises(error):
+            search(T4, bad_y, height)
+    assert find_isotropic_orthogonal(T4, Y_IRR, 2.5) == find_isotropic_orthogonal(T4, Y_IRR, 2)
 
 
 def test_find_isotropic_orthogonal_pinned_on_k3():
