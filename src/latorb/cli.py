@@ -202,10 +202,7 @@ def _cmd_irr_find_isotropic(args):
 
 def _split_form_from_json(data):
     from . import torus_forms
-    return torus_forms.SplitBlockForm(
-        jsonio.float_matrix_from_json(data["C"]),
-        jsonio.float_matrix_from_json(data["D"]),
-    )
+    return torus_forms.SplitBlockForm(data["C"], data["D"])
 
 
 def _split_form_to_json(f):
@@ -217,9 +214,7 @@ def _split_form_to_json(f):
 
 def _cmd_torus_blocks(args):
     from . import torus_forms
-    omega = torus_forms.LinearSymplecticForm(
-        jsonio.float_matrix_from_json(_load_json(args.omega))
-    )
+    omega = torus_forms.LinearSymplecticForm(_load_json(args.omega))
     l = jsonio.sublattice_from_json(_load_json(args.l))
     lprime = jsonio.sublattice_from_json(_load_json(args.lprime))
     _emit(_split_form_to_json(torus_forms.to_blocks(omega, l, lprime)))
@@ -262,9 +257,8 @@ def _cmd_explore(args):
     from . import orbit_explorer
     L = _lattice_of(args)
     u = _vector(args.u)
-    point = lambda data: orbit_explorer.HyperboloidPoint(map(jsonio.decode_float, data))
-    y0 = point(_load_json(args.y0))
-    targets = [point(t) for t in _load_json(args.targets)]
+    y0 = orbit_explorer.HyperboloidPoint(_load_json(args.y0))
+    targets = [orbit_explorer.HyperboloidPoint(t) for t in _load_json(args.targets)]
     records = orbit_explorer.explore(L, u, y0, targets, args.depth, seed=args.seed)
     if args.format == "csv":
         sys.stdout.write(orbit_explorer.records_to_csv(records))

@@ -1,12 +1,13 @@
 """Exact integer linear algebra on plain nested lists.
 
-Everything here is arbitrary-precision Python ints; no fractions and no
-floating point.  Inputs are integer matrices given as any sequence of
-rows (lists or tuples); every matrix result is a tuple of int tuples and
-every vector result an int tuple, so results can be shared and cached
-(`identity` is).  Lists are scratch inside a function only.  These are
-the primitives behind the lattice layer: canonical Hermite forms,
-integer kernels, ranks and exact inertia.
+Everything here but the real-number reader is arbitrary-precision
+Python ints; no fractions and no floating point.  Inputs are integer
+matrices given as any sequence of rows (lists or tuples); every matrix
+result is a tuple of int tuples and every vector result an int tuple, so
+results can be shared and cached (`identity` is).  Lists are scratch
+inside a function only.  These are the primitives behind the lattice
+layer: canonical Hermite forms, integer kernels, ranks and exact
+inertia.
 
 Elimination over Z is one Hermite routine, `_hermite`.  `row_hnf` runs
 it on the rows [m | I] and so carries the unimodular transform (kernel,
@@ -15,10 +16,15 @@ canonical bases, independence).  Beside it sit the fraction-free
 `det_bareiss` and one fraction-free symmetric congruence reduction
 `_congruence_reduction`, read by `signature` (the signs of its diagonal)
 and `positive_basis` (its positive columns).
+
+The package's two input readers sit here too: `_ints` reads integer
+input and `_reals` real-number input, the one place that decides what
+each kind accepts.
 """
 
 from functools import cache
-from math import gcd
+from math import gcd, isfinite
+from numbers import Real
 from operator import index, mul
 
 from .errors import DegenerateGram
@@ -29,6 +35,23 @@ def _ints(v):
     integers pass and floats, strings and other non-integers raise
     TypeError, where `int` would truncate or parse them."""
     return tuple(map(index, v))
+
+
+def _reals(v):
+    """v as a tuple of finite Python floats.  Every `numbers.Real` but
+    bool passes, numpy ints and floats included; bools, numpy bools,
+    strings and other non-reals raise TypeError, and NaN, infinities and
+    ints beyond the float range raise ValueError."""
+    v = tuple(v)
+    if not all(isinstance(x, Real) and not isinstance(x, bool) for x in v):
+        raise TypeError("expected real numbers")
+    try:
+        out = tuple(map(float, v))
+    except OverflowError:
+        raise ValueError("number out of float range") from None
+    if not all(map(isfinite, out)):
+        raise ValueError("real numbers must be finite")
+    return out
 
 
 @cache

@@ -31,6 +31,7 @@ from .lattice_core import (
     _dot,
     gram_column,
     orthogonal_sublattice,
+    sublattice_gram,
 )
 
 INDEPENDENCE_ASSUMPTION = (
@@ -50,8 +51,7 @@ class Symbol:
     approx: float
 
     def __post_init__(self):
-        if not math.isfinite(self.approx):
-            raise ValueError("symbol approximation must be finite")
+        object.__setattr__(self, "approx", intlin._reals((self.approx,))[0])
 
 
 UNIT = Symbol("1", 1.0)
@@ -153,12 +153,10 @@ def certified_norm_sign(L: QuadLattice, y: SymbolicRealVector):
     norm = _dot(gram_column(L, z), z)
     if norm != 0:
         return 1 if norm > 0 else -1
-    for i, c in enumerate(cols):
-        gc = gram_column(L, c)
-        if any(_dot(gc, ct) for ct in cols[i:]):
-            raise PrecisionError(
-                "(y,y) is exactly 0 at the approximations but not identically 0"
-            )
+    if any(map(any, sublattice_gram(L, cols))):
+        raise PrecisionError(
+            "(y,y) is exactly 0 at the approximations but not identically 0"
+        )
     return 0
 
 
@@ -216,13 +214,11 @@ def _isotropic_walk(L: QuadLattice, basis, height):
     height = math.floor(height)  # integer coordinates: |v_i| ≤ ⌊height⌋
     steps = [[(i, x) for i, x in enumerate(b) if x] for b in basis]
     pivots = [st[0][0] for st in steps]
-    cols = list(zip(*basis))
-    # past each pivot, the coordinates its level fixes that some row up to
-    # it touches, with the level's entries: the others stay 0
-    fixed = [[(i, b[i]) for i in range(p + 1, e) if any(cols[i][: j + 1])]
-             for j, (b, p, e) in enumerate(zip(basis, pivots, pivots[1:] + [n]))]
-    columns = [gram_column(L, b) for b in basis]
-    gram = [[_dot(b, c) for c in columns] for b in basis]
+    # past each pivot, the coordinates its level fixes, with the level's
+    # entries; a coordinate no row up to it touches stays 0 in the window
+    fixed = [[(i, b[i]) for i in range(p + 1, e)]
+             for b, p, e in zip(basis, pivots, pivots[1:] + [n])]
+    gram = sublattice_gram(L, basis)
     v = [0] * n
 
     def window(j, started):
@@ -276,14 +272,6 @@ def _isotropic_walk(L: QuadLattice, basis, height):
         yield tuple(basis[0])  # the one primitive multiple with a positive pivot
 
 
-def _check_height(height):
-    """Refuses a height that is not a finite real number."""
-    if isinstance(height, (bool, str)):
-        raise TypeError("height must be a real number")
-    if not -math.inf < height < math.inf:
-        raise ValueError("height must be finite")
-
-
 def find_isotropic_orthogonal(L: QuadLattice, y: SymbolicRealVector, height):
     """All primitive isotropic lattice vectors ⊥ y up to the given height.
 
@@ -297,7 +285,7 @@ def find_isotropic_orthogonal(L: QuadLattice, y: SymbolicRealVector, height):
     entry positive), in lexicographic order.  height must be a finite real
     number; below 1 the walk yields nothing, but y is still checked.
     """
-    _check_height(height)
+    intlin._reals((height,))  # a finite real number
     return list(_isotropic_walk(L, rational_constraint_lattice(L, y).basis, height))
 
 
@@ -339,7 +327,7 @@ def certify_orthoisotropic_irrational(
     y^⊥ ∩ Λ, so its first vector is the first failing u of the full sorted
     list.
     """
-    _check_height(height)
+    intlin._reals((height,))  # a finite real number
     if certified_norm_sign(L, y) < 0:
         raise NotPositiveNorm("y must have positive norm")
     perp = rational_constraint_lattice(L, y)

@@ -43,15 +43,10 @@ class Isometry:
         n = self.lattice.rank
         if len(m) != n or any(len(row) != n for row in m):
             raise DimensionMismatch("matrix does not match the lattice rank")
-        # MᵀGM = G with det G ≠ 0 already forces det M = ±1.  Both sides
-        # are symmetric, so the upper triangle decides: entry (i, k) is
-        # column i of M against column k of G·M.
-        cols = list(zip(*m))
-        gcols = [gram_column(self.lattice, c) for c in cols]
-        for i, c in enumerate(cols):
-            for k in range(i, n):
-                if _dot(c, gcols[k]) != self.lattice.gram[i][k]:
-                    raise ValueError("matrix does not preserve the bilinear form")
+        # MᵀGM, the pairings of M's columns, is G; with det G ≠ 0 that
+        # already forces det M = ±1
+        if sublattice_gram(self.lattice, zip(*m)) != self.lattice.gram:
+            raise ValueError("matrix does not preserve the bilinear form")
 
     @cached_property
     def det(self):
@@ -214,7 +209,7 @@ def _hyperbolic_frame(L: QuadLattice) -> _Frame:
     f1, comp = split_hyperbolic(L, e1)
     if comp.rank < 2:
         raise NoHyperbolicSplit("lattice has no second hyperbolic plane")
-    inner_gram = QuadLattice(sublattice_gram(L, comp))
+    inner_gram = QuadLattice(sublattice_gram(L, comp.basis))
     j = next((k for k in range(comp.rank) if inner_gram.gram[k][k] == 0), None)
     if j is None:
         raise NoHyperbolicSplit("no isotropic vector in the split complement")
@@ -442,7 +437,7 @@ def gu_lattice_generators(L: QuadLattice, u):
 
     for a in intlin.kernel_basis([gram_column(L, u)]):
         push(eichler_transvection(L, u, a))
-    cg = sublattice_gram(L, comp)
+    cg = sublattice_gram(L, comp.basis)
     for i, e in enumerate(comp.basis):
         if cg[i][i] != 0:
             continue

@@ -4,6 +4,8 @@ Integers are emitted natively while they fit in 64 bits and as decimal
 strings beyond that; both shapes are accepted on input.  Exact rationals
 travel as "p/q" strings.  Symbolic vectors carry their non-unit symbols
 explicitly; the rational unit is implicit in the first coefficient column.
+Floats go to the library types as parsed, whose one reader
+`intlin._reals` refuses anything but finite real numbers.
 """
 
 from fractions import Fraction
@@ -36,15 +38,6 @@ def decode_int(v):
     if isinstance(v, str):
         return int(v, 10)
     raise ValueError("expected an integer or a decimal string")
-
-
-def decode_float(v):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError("expected a JSON number")
-    try:
-        return float(v)
-    except OverflowError:
-        raise ValueError("number out of float range") from None
 
 
 def encode_vector(v):
@@ -97,7 +90,7 @@ def isometry_from_json(data, L: QuadLattice) -> Isometry:
 
 def symbolic_from_json(data) -> SymbolicRealVector:
     symbols = (UNIT,) + tuple(
-        Symbol(d["tag"], decode_float(d["approx"])) for d in data.get("symbols", [])
+        Symbol(d["tag"], d["approx"]) for d in data.get("symbols", [])
     )
     rows = [[Fraction(str(c)) for c in row] for row in data["coeffs"]]
     if any(len(row) != len(symbols) for row in rows):
@@ -119,9 +112,3 @@ def certificate_to_json(cert: IrrationalityCertificate):
 
 def float_matrix_to_json(m):
     return [[float(x) for x in row] for row in m]
-
-
-def float_matrix_from_json(data):
-    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
-        raise ValueError("matrix JSON must be a list of lists")
-    return [[decode_float(x) for x in row] for row in data]

@@ -4,7 +4,8 @@ A lattice is held as its Gram matrix; vectors are integer coordinate tuples
 in the implied basis.  Everything is exact — no floats.  Every integer
 pairing goes through `gram_column`, which reads only the cached
 `QuadLattice.gram_rows`, the nonzero (j, g_ij) of each Gram row (50 of
-484 entries on the rank-22 model).  Provides the
+484 entries on the rank-22 model), and every table of the pairings among
+one list of vectors comes from `sublattice_gram`.  Provides the
 standard even unimodular models (hyperbolic plane, negated E8, and the two
 rank-6/rank-22 direct sums used throughout), Hermite-based sublattice
 calculus, and constructive hyperbolic splitting off an isotropic vector.
@@ -100,10 +101,15 @@ def inner(L: QuadLattice, v, w) -> int:
 
 
 def gram_column(L: QuadLattice, v) -> tuple:
-    """Pairings of v against the basis vectors, i.e. gram·v: by symmetry,
-    v_j times the nonzero entries of row j, summed over the nonzero v_j."""
+    """Pairings of v against the basis vectors, i.e. gram·v."""
+    return _gram_column(L, _check_vec(L, v))
+
+
+def _gram_column(L: QuadLattice, v) -> tuple:
+    """gram·v for a checked v: by symmetry, v_j times the nonzero entries
+    of row j, summed over the nonzero v_j."""
     out = [0] * L.rank
-    for j, vj in enumerate(_check_vec(L, v)):
+    for j, vj in enumerate(v):
         if vj:
             for i, x in L.gram_rows[j]:
                 out[i] += x * vj
@@ -186,10 +192,17 @@ def k3_model() -> QuadLattice:
     )
 
 
-def sublattice_gram(L: QuadLattice, S: Sublattice) -> tuple:
-    """Gram matrix of the form restricted to S's basis."""
-    columns = [gram_column(L, w) for w in S.basis]
-    return tuple(tuple(_dot(v, c) for c in columns) for v in S.basis)
+def sublattice_gram(L: QuadLattice, rows) -> tuple:
+    """Table of the pairings (rows[i], rows[j]) of a list of vectors, such
+    as a sublattice's basis; () for no vectors.  Each pairing of the upper
+    triangle is computed once and mirrored."""
+    rows = [_check_vec(L, v) for v in rows]
+    out = [[0] * len(rows) for _ in rows]
+    for i, v in enumerate(rows):
+        c = _gram_column(L, v)
+        for j in range(i, len(rows)):
+            out[i][j] = out[j][i] = _dot(c, rows[j])
+    return tuple(map(tuple, out))
 
 
 def orthogonal_sublattice(L: QuadLattice, vectors: Iterable) -> Sublattice:
@@ -260,9 +273,8 @@ def split_hyperbolic(L: QuadLattice, u):
     the combined basis {u, z} ∪ Lprime.basis generates the whole lattice.
     """
     u = _check_split(L, u)
-    g, s = intlin.xgcd_vector(gram_column(L, u))
-    if g != 1:
-        raise NotPrimitive("u pairs non-trivially modulo its divisor")
+    # G is unimodular, so gcd(G·u) = gcd(u) = 1
+    _, s = intlin.xgcd_vector(gram_column(L, u))
     ss = inner(L, s, s)
     z = tuple([si - (ss // 2) * ui for si, ui in zip(s, u)])
     if inner(L, u, z) != 1 or inner(L, z, z) != 0:

@@ -10,12 +10,12 @@ header repeats that caveat.
 """
 
 import io
-import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import intlin
 from .errors import NotPositiveNorm
 from .isometries import gu_lattice_generators, invert
 from .lattice_core import QuadLattice, _check_split, split_hyperbolic
@@ -39,13 +39,7 @@ class HyperboloidPoint:
     coords: tuple
 
     def __post_init__(self):
-        coords = tuple(self.coords)
-        if any(isinstance(x, (bool, np.bool_, str, bytes)) for x in coords):
-            raise TypeError("point coordinates must be real numbers")
-        coords = tuple(map(float, coords))
-        if not all(map(math.isfinite, coords)):
-            raise ValueError("point coordinates must be finite")
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", intlin._reals(self.coords))
 
     def defects(self, L: QuadLattice, u=None):
         """Returns (|(v,v) - 1|, |(v,u)|) under the lattice form."""

@@ -38,16 +38,11 @@ LLL_MAX_STEPS = 200_000
 
 
 def _as_float_matrix(m):
-    """m as a float array; bools and strings raise TypeError, where a float
-    array would read True as 1.0 and parse "0.5"."""
-    a = np.array(m, dtype=object)
-    if any(isinstance(x, (bool, np.bool_, str, bytes)) for x in a.flat):
-        raise TypeError("matrix entries must be real numbers")
-    a = a.astype(float)
+    """m as a square float array, each row read by `intlin._reals`; rows
+    of unequal length raise ValueError."""
+    a = np.array([intlin._reals(row) for row in m])
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("expected a square matrix")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
     return a
 
 
@@ -71,7 +66,7 @@ class LinearSymplecticForm:
             raise DimensionMismatch("symplectic forms live in even dimension")
         if not np.array_equal(a, -a.T):
             raise ValueError("matrix must be exactly skew-symmetric")
-        if pfaffian(a) == 0.0:
+        if _pf(a) == 0.0:
             raise DegenerateGram("form is degenerate (zero Pfaffian)")
         self.matrix = a
         self.matrix.setflags(write=False)

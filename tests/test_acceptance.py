@@ -96,7 +96,7 @@ def test_criterion_02_hyperbolic_splitting():
             assert inner(L, u, u) == 0
             assert inner(L, z, z) == 0
             assert inner(L, u, z) == 1
-            sub = QuadLattice(sublattice_gram(L, lprime))
+            sub = QuadLattice(sublattice_gram(L, lprime.basis))
             assert is_even(sub)
             assert is_unimodular(sub)
             assert tuple(signature(sub)) == (p - 1, q - 1)

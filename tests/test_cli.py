@@ -119,16 +119,6 @@ def test_jsonio_int_codec_round_trip():
         jsonio.decode_int(1.5)
 
 
-def test_jsonio_float_reader_takes_json_numbers_only():
-    assert jsonio.decode_float(3) == 3.0 and type(jsonio.decode_float(3)) is float
-    assert jsonio.decode_float(-0.25) == -0.25
-    for bad in (True, False, "1.5", None, [1.0], 10 ** 400):
-        with pytest.raises(ValueError):
-            jsonio.decode_float(bad)
-    with pytest.raises(ValueError):
-        jsonio.float_matrix_from_json([[1.0, "0"], [0.0, 1.0]])
-
-
 # U ⊕ U ⊕ <1>: odd, so no hyperbolic plane splits off at u
 ODD_LATTICE = json.dumps(
     {"gram": [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0],
@@ -487,6 +477,23 @@ def test_float_inputs_are_finite_json_numbers(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize(
+    "c, code",
+    [("[[1.0],[0.0,1.0]]", 1), ("[[1.0,0.0,0.0],[0.0,1.0,0.0]]", 2)],
+    ids=["ragged", "2x3"],
+)
+def test_float_matrix_shape_exit_codes(capsys, c, code):
+    # rows of unequal length are a parse error; equal rows that do not
+    # make a square are a domain rejection
+    target = '{"C":%s,"D":[[0.0,0.0],[0.0,0.0]]}' % c
+    got, out, err = run(capsys, "torus", "approx", "--eps", "1e-2", "--target", target)
+    assert (got, out) == (code, "")
+    if code == 2:
+        assert json.loads(err)["error"] == "DimensionMismatch"
+    else:
+        assert err.startswith("input error:")
 
 
 def test_explore_has_no_dedup_tol_option(capsys):

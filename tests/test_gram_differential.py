@@ -1,6 +1,8 @@
 """The sparse Gram readers of `lattice_core` against the dense products of
 `intlin`, on hypothesis-drawn nondegenerate symmetric Grams (sparse and
-dense, rank 1–8) and on the five CLI models."""
+dense, rank 1–8) and on the five CLI models; `sublattice_gram` also on
+repeated and dependent rows, on no rows, and on the columns of K3
+isometries."""
 
 import random
 
@@ -10,14 +12,18 @@ from hypothesis import strategies as st
 
 from latorb import intlin
 from latorb.cli import MODELS
+from latorb.isometries import map_isotropic
 from latorb.lattice_core import (
     QuadLattice,
     Sublattice,
     gram_column,
     inner,
+    k3_model,
     split_hyperbolic,
     sublattice_gram,
 )
+
+from helpers import random_primitive_isotropic
 
 DRAWN = settings(max_examples=150, deadline=None)
 
@@ -55,9 +61,8 @@ def dense_inner(L, v, w):
     return sum(a * b for a, b in zip(v, intlin.mat_vec(L.gram, w)))
 
 
-def dense_sublattice_gram(L, S):
-    b = [list(r) for r in S.basis]
-    return tuple(tuple(r) for r in intlin.mat_mul(intlin.mat_mul(b, L.gram), intlin.transpose(b)))
+def dense_sublattice_gram(L, rows):
+    return intlin.mat_mul(intlin.mat_mul(rows, L.gram), intlin.transpose(rows))
 
 
 def check_readers(L, vs):
@@ -68,7 +73,10 @@ def check_readers(L, vs):
     basis = intlin.hnf_basis(vs)
     if basis:
         S = Sublattice(basis)
-        assert sublattice_gram(L, S) == dense_sublattice_gram(L, S)
+        assert sublattice_gram(L, S.basis) == dense_sublattice_gram(L, S.basis)
+    # repeated and dependent rows: the table needs no basis
+    rows = [*vs, vs[0], [a - 2 * b for a, b in zip(vs[0], vs[-1])]]
+    assert sublattice_gram(L, rows) == dense_sublattice_gram(L, rows)
 
 
 @DRAWN
@@ -77,7 +85,8 @@ def test_sparse_readers_match_dense_products(data):
     L = data.draw(lattices())
     vs = data.draw(vectors(L.rank, data.draw(st.integers(1, L.rank + 1))))
     check_readers(L, vs)
-    assert sublattice_gram(L, Sublattice(intlin.identity(L.rank))) == L.gram
+    assert sublattice_gram(L, intlin.identity(L.rank)) == L.gram
+    assert sublattice_gram(L, []) == ()
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))
@@ -91,4 +100,14 @@ def test_sparse_readers_match_dense_products_on_models(model):
     check_readers(L, drawn)
     if model in ("t4", "k3"):
         _, comp = split_hyperbolic(L, unit[0])
-        assert sublattice_gram(L, comp) == dense_sublattice_gram(L, comp)
+        assert sublattice_gram(L, comp.basis) == dense_sublattice_gram(L, comp.basis)
+
+
+def test_isometry_columns_pair_as_the_gram():
+    # MᵀGM = G: the table of an isometry's columns is the lattice's Gram
+    K3 = k3_model()
+    rng = random.Random(25)
+    for _ in range(20):
+        u, v = (random_primitive_isotropic(rng, K3) for _ in range(2))
+        cols = intlin.transpose(map_isotropic(K3, u, v).matrix)
+        assert sublattice_gram(K3, cols) == K3.gram == dense_sublattice_gram(K3, cols)

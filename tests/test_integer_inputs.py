@@ -1,12 +1,14 @@
 """Every reader of integer input takes integers only: a float or a string
 raises TypeError instead of being truncated or parsed, and a numpy integer
 is read as the Python int of the same value.  Every reader of float input
-refuses bools and strings the same way, and reads numpy floats."""
+refuses bools and strings the same way, and reads numpy floats; all of
+them go through `intlin._reals`, tested here on its own too."""
 
 import numpy as np
 import pytest
 
-from latorb import jsonio, orbit_explorer as oe, torus_forms as tf
+from latorb import intlin, jsonio, orbit_explorer as oe, torus_forms as tf
+from latorb.irrationality import Symbol
 from latorb.isometries import Isometry, apply, identity_isometry, is_in_gu, is_in_hy, is_in_ky
 from latorb.lattice_core import QuadLattice, Sublattice, hyperbolic, inner, t4_model
 
@@ -66,6 +68,7 @@ FLOAT_READERS = {
     "LinearSymplecticForm": lambda x: tf.LinearSymplecticForm([[0.0, x], [-1.0, 0.0]]).matrix,
     "pfaffian": lambda x: tf.pfaffian([[0.0, x], [-1.0, 0.0]]),
     "HyperboloidPoint": lambda x: oe.HyperboloidPoint((x, 0.0, 0.0, 0.0, 0.0, 0.0)).coords,
+    "Symbol.approx": lambda x: Symbol("s", x).approx,
 }
 
 
@@ -80,3 +83,14 @@ def test_bool_and_string_float_entries_are_rejected(name, bad):
 def test_numpy_floats_are_read(name):
     assert np.array_equal(FLOAT_READERS[name](np.float64(1.0)), FLOAT_READERS[name](1.0))
     assert np.array_equal(FLOAT_READERS[name](np.float32(1.0)), FLOAT_READERS[name](1))
+
+
+def test_real_reader_returns_finite_python_floats():
+    out = intlin._reals((3, -0.25, np.float32(0.5), np.int64(2)))
+    assert out == (3.0, -0.25, 0.5, 2.0) and all(type(x) is float for x in out)
+    for bad in (True, False, np.False_, "1.5", b"1", None, [1.0]):
+        with pytest.raises(TypeError):
+            intlin._reals((bad,))
+    for bad in (10 ** 400, float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            intlin._reals((bad,))

@@ -173,7 +173,7 @@ def test_isometry_check_and_sublattice_gram_read_the_sparse_gram(monkeypatch):
     u = random_primitive_isotropic(rng, K3)
     g = map_isotropic(K3, u, random_primitive_isotropic(rng, K3))
     _, comp = split_hyperbolic(K3, u)
-    expected = sublattice_gram(K3, comp)
+    expected = sublattice_gram(K3, comp.basis)
     calls = []
     for module, name in ((intlin, "mat_mul"), (intlin, "mat_vec"), (lattice_core, "inner")):
         real = getattr(module, name)
@@ -181,7 +181,7 @@ def test_isometry_check_and_sublattice_gram_read_the_sparse_gram(monkeypatch):
             module, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
         )
     assert Isometry(g.matrix, K3) == g
-    assert sublattice_gram(K3, comp) == expected
+    assert sublattice_gram(K3, comp.basis) == expected
     assert calls == []  # both read the Gram through gram_column only
 
 

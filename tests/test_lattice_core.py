@@ -154,7 +154,7 @@ def test_orthogonal_sublattice():
     # {x1 + y2, y1}^perp in U + U, in the basis (x1, y1, x2, y2)
     S = orthogonal_sublattice(U2, [(1, 0, 0, 1), (0, 1, 0, 0)])
     assert S.basis == ((0, 1, -1, 0), (0, 0, 0, 1))
-    assert sublattice_gram(U2, S) == ((0, -1), (-1, 0))
+    assert sublattice_gram(U2, S.basis) == ((0, -1), (-1, 0))
     # no constraints: the whole lattice
     assert orthogonal_sublattice(U2, []).rank == 4
 
@@ -237,7 +237,7 @@ def test_split_hyperbolic_worked_example():
     z, lp = split_hyperbolic(U2, u)
     assert z == (0, 1, 0, 0)  # y1
     assert lp.basis == ((0, 1, -1, 0), (0, 0, 0, 1))
-    assert sublattice_gram(U2, lp) == ((0, -1), (-1, 0))
+    assert sublattice_gram(U2, lp.basis) == ((0, -1), (-1, 0))
     # basis of the plane plus the complement generates everything
     full = [list(u), list(z)] + [list(b) for b in lp.basis]
     assert abs(intlin.det_bareiss(full)) == 1
@@ -268,7 +268,7 @@ def test_split_hyperbolic_postconditions():
             z, lp = split_hyperbolic(L, u)
             assert inner(L, u, z) == 1
             assert inner(L, z, z) == 0
-            g = QuadLattice(sublattice_gram(L, lp))
+            g = QuadLattice(sublattice_gram(L, lp.basis))
             assert g.rank == L.rank - 2
             assert is_even(g) and is_unimodular(g)
             assert signature(g) == drop

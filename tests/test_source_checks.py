@@ -2,7 +2,7 @@
 which strips asserts, no module may change an imported module's state, no
 public name may go unused, and the declared dependencies are exactly the
 third-party packages it imports, and the README states the values of
-the module constants."""
+the module constants.  Real-number input is read in one place."""
 
 import ast
 import re
@@ -96,6 +96,31 @@ def test_integers_are_read_without_int_casts(module):
 def test_int_cast_check_sees_both_forms():
     tree = ast.parse("a = int(x)\nb = list(map(int, row))\nc = int(v, 10)\n")
     assert _int_casts(tree) == [1, 2]
+
+
+def _isfinite_reads(tree):
+    """Lines that read isfinite: bare, off a module or in an import."""
+    return sorted(
+        n.lineno
+        for n in ast.walk(tree)
+        if (isinstance(n, ast.Attribute) and n.attr == "isfinite")
+        or (isinstance(n, ast.Name) and n.id == "isfinite")
+        or (isinstance(n, ast.ImportFrom) and any(a.name == "isfinite" for a in n.names))
+    )
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.stem != "intlin"))
+def test_reals_are_read_in_one_place(module):
+    # intlin._reals decides what a real-number input is; a module that
+    # tests finiteness itself keeps a second copy of that rule
+    lines = _isfinite_reads(ast.parse((SRC / module).read_text()))
+    assert lines == [], f"{module} reads isfinite at lines {lines}"
+
+
+def test_isfinite_check_sees_every_form():
+    tree = ast.parse("import math\nfrom math import isfinite\na = math.isfinite(x)\n"
+                     "b = np.isfinite(m).all()\nc = isfinite(y)\nd = finite(z)\n")
+    assert _isfinite_reads(tree) == [2, 3, 4, 5]
 
 
 def _reads(node):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     assembled_shear,
@@ -585,6 +587,64 @@ def test_wedge_action_on_decomposables():
         for out_idx, (k, l) in enumerate(pairs):
             minor = g[k][i] * g[l][j] - g[k][j] * g[l][i]
             assert image[out_idx] == minor
+
+
+def _row_ops(n, most):
+    """Determinant-1 integer n×n matrices: products of up to `most` row
+    additions with small multipliers."""
+    step = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
+
+    def build(steps):
+        m = [list(r) for r in intlin.identity(n)]
+        for i, j, c in steps:
+            if i != j:
+                m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+        return m
+
+    return st.lists(step, max_size=most).map(build)
+
+
+def _wedge_vector(w):
+    """Coordinates W_ij of a skew 4×4 matrix, in the pair order of the
+    wedge lattice."""
+    return tuple(w[i][j] for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+
+
+SKEW4 = st.lists(st.integers(-3, 3), min_size=6, max_size=6).map(
+    lambda x: [[0, x[0], x[1], x[2]], [-x[0], 0, x[3], x[4]],
+               [-x[1], -x[3], 0, x[5]], [-x[2], -x[4], -x[5], 0]]
+)
+U_WEDGE = (0, 0, 0, 0, 0, 1)  # e2∧e3
+Z_WEDGE = (1, 0, 0, 0, 0, 0)  # e0∧e1
+
+
+@settings(max_examples=200, deadline=None)
+@given(SKEW4, _row_ops(4, 6), st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+       _row_ops(2, 4))
+def test_klein_correspondence_on_t4(wm, m, b, a):
+    # SL(4) acts on skew forms by W ↦ MᵀWM and on their wedge vectors by
+    # the integer isometry wedge_square_action(Mᵀ); a shear fixes
+    # u = e2∧e3, a pure shear translates {u, z}^⊥ along u, and B = 0
+    # fixes u and z = e0∧e1
+    G = tf.wedge_gram()
+    w = _wedge_vector(wm)
+    mt = intlin.transpose(m)
+    moved = intlin.mat_mul(intlin.mat_mul(mt, wm), m)
+    assert apply(tf.wedge_square_action(mt), w) == _wedge_vector(moved)
+    assert inner(G, w, w) == 2 * tf.pfaffian(wm)
+    assert inner(G, w, U_WEDGE) == wm[0][1]  # so W vanishes on span(e0, e1) iff w ⊥ u
+
+    def shear_wedge(bb, aa):  # the wedge action of [[I, B], [0, A]]ᵀ
+        shear = [[1, 0, *bb[:2]], [0, 1, *bb[2:]], [0, 0, *aa[0]], [0, 0, *aa[1]]]
+        return tf.wedge_square_action(intlin.transpose(shear))
+
+    assert apply(shear_wedge(b, a), U_WEDGE) == U_WEDGE
+    g = shear_wedge(b, intlin.identity(2))
+    assert apply(g, U_WEDGE) == U_WEDGE
+    for e in intlin.identity(6)[1:5]:  # a basis of {u, z}^⊥
+        assert [x - y for x, y in zip(apply(g, e), e)][:5] == [0] * 5
+    g = shear_wedge((0, 0, 0, 0), a)
+    assert (apply(g, U_WEDGE), apply(g, Z_WEDGE)) == (U_WEDGE, Z_WEDGE)
 
 
 def test_wedge_rejects_other_determinants():
