@@ -11,7 +11,8 @@ import json
 import re
 import sys
 
-# torus_forms and orbit_explorer load numpy, so only their verbs import them.
+# Only their own verbs import torus_forms and orbit_explorer, the one
+# module that loads numpy.
 from . import irrationality, jsonio
 from .errors import DomainError
 from .isometries import (
@@ -205,19 +206,13 @@ def _split_form_from_json(data):
     return torus_forms.SplitBlockForm(data["C"], data["D"])
 
 
-def _split_form_to_json(f):
-    return {
-        "C": jsonio.float_matrix_to_json(f.c),
-        "D": jsonio.float_matrix_to_json(f.d),
-    }
-
-
 def _cmd_torus_blocks(args):
     from . import torus_forms
     omega = torus_forms.LinearSymplecticForm(_load_json(args.omega))
     l = jsonio.sublattice_from_json(_load_json(args.l))
     lprime = jsonio.sublattice_from_json(_load_json(args.lprime))
-    _emit(_split_form_to_json(torus_forms.to_blocks(omega, l, lprime)))
+    f = torus_forms.to_blocks(omega, l, lprime)
+    _emit({"C": f.c, "D": f.d})
 
 
 def _cmd_torus_act(args):
@@ -228,7 +223,8 @@ def _cmd_torus_act(args):
         jsonio.decode_matrix(data["B"]),
         jsonio.decode_matrix(data["A"]) if "A" in data else None,
     )
-    _emit(_split_form_to_json(torus_forms.act(shear, f)))
+    f = torus_forms.act(shear, f)
+    _emit({"C": f.c, "D": f.d})
 
 
 def _cmd_torus_approx(args):
@@ -239,7 +235,7 @@ def _cmd_torus_approx(args):
     )
     _emit(
         {
-            "Cprime": jsonio.float_matrix_to_json(res.cprime),
+            "Cprime": res.cprime,
             "B": jsonio.encode_matrix(res.b),
             "err": res.err,
             "rounds": res.rounds,
@@ -369,7 +365,7 @@ def main(argv=None):
     except CliParseError as exc:
         sys.stderr.write("argument error: %s\n" % exc)
         return 1
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, OverflowError, TypeError, ValueError) as exc:
         sys.stderr.write("input error: %s\n" % exc)
         return 1
     return 0

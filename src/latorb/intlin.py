@@ -1,7 +1,7 @@
 """Exact integer linear algebra on plain nested lists.
 
-Everything here but the real-number reader is arbitrary-precision
-Python ints; no fractions and no floating point.  Inputs are integer
+Everything here but the real-number reader and the float pairing is
+arbitrary-precision Python ints; no fractions.  Inputs are integer
 matrices given as any sequence of rows (lists or tuples); every matrix
 result is a tuple of int tuples and every vector result an int tuple, so
 results can be shared and cached (`identity` is).  Lists are scratch
@@ -19,11 +19,12 @@ and `positive_basis` (its positive columns).
 
 The package's two input readers sit here too: `_ints` reads integer
 input and `_reals` real-number input, the one place that decides what
-each kind accepts.
+each kind accepts.  So does its one float pairing `_fdot`, behind every
+float matrix product and norm.
 """
 
 from functools import cache
-from math import gcd, isfinite
+from math import fsum, gcd, isfinite
 from numbers import Real
 from operator import index, mul
 
@@ -52,6 +53,12 @@ def _reals(v):
     if not all(map(isfinite, out)):
         raise ValueError("real numbers must be finite")
     return out
+
+
+def _fdot(x, y):
+    """Σ x_i·y_i, the exact sum of the rounded products rounded once: the
+    same bits on every IEEE host and Python, unlike BLAS or `sum`."""
+    return fsum(map(mul, x, y))
 
 
 @cache

@@ -5,7 +5,8 @@ strings beyond that; both shapes are accepted on input.  Exact rationals
 travel as "p/q" strings.  Symbolic vectors carry their non-unit symbols
 explicitly; the rational unit is implicit in the first coefficient column.
 Floats go to the library types as parsed, whose one reader
-`intlin._reals` refuses anything but finite real numbers.
+`intlin._reals` refuses anything but finite real numbers, and come back
+as its tuples of Python floats.
 """
 
 from fractions import Fraction
@@ -108,7 +109,3 @@ def certificate_to_json(cert: IrrationalityCertificate):
         "height_bound_used": cert.height_bound_used,
         "assumption": cert.assumption,
     }
-
-
-def float_matrix_to_json(m):
-    return [[float(x) for x in row] for row in m]

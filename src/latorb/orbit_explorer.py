@@ -43,12 +43,14 @@ class HyperboloidPoint:
 
     def defects(self, L: QuadLattice, u=None):
         """Returns (|(v,v) - 1|, |(v,u)|) under the lattice form."""
-        g = np.array(L.gram, dtype=float)
-        v = np.array(self.coords)
-        norm_defect = abs(float(v @ g @ v) - 1.0)
-        if u is None:
-            return norm_defect, 0.0
-        return norm_defect, abs(float(v @ g @ np.array(u, dtype=float)))
+        v = self.coords
+        return abs(_pairing(L, v, v) - 1.0), 0.0 if u is None else abs(_pairing(L, v, u))
+
+
+def _pairing(L: QuadLattice, v, w):
+    """(v, w) under the lattice form in floats: each entry of G·w, then
+    their pairing with v, one `intlin._fdot`."""
+    return intlin._fdot(v, [intlin._fdot(row, w) for row in L.gram])
 
 
 def check_point(L: QuadLattice, point: HyperboloidPoint, u=None):
@@ -63,18 +65,17 @@ def project_to_hyperboloid(L: QuadLattice, v, u=None) -> HyperboloidPoint:
     at u, so the moved point stays in the real span of u^⊥ plus the
     defect direction; a nonpositive-norm result cannot be rescaled.
     """
-    w = np.array([float(x) for x in v])
-    g = np.array(L.gram, dtype=float)
+    w = [float(x) for x in v]
     if u is not None:
-        uv = np.array(u, dtype=float)
-        defect = float(w @ g @ uv)
+        defect = _pairing(L, w, u)
         if defect != 0.0:
-            z = np.array(split_hyperbolic(L, tuple(u))[0], dtype=float)
-            w = w - defect * z
-    norm = float(w @ g @ w)
+            z = split_hyperbolic(L, tuple(u))[0]
+            w = [x - defect * y for x, y in zip(w, z)]
+    norm = _pairing(L, w, w)
     if norm <= 0:
         raise NotPositiveNorm("component has nonpositive norm")
-    return HyperboloidPoint(tuple(w / norm ** 0.5))
+    scale = norm ** 0.5
+    return HyperboloidPoint(tuple(x / scale for x in w))
 
 
 @dataclass(frozen=True)

@@ -4,17 +4,20 @@ A form vanishing on a fixed Lagrangian plane l is, in a basis adapted to a
 complementary pair (l, l′), the block matrix [[0, −Cᵀ], [C, D]] with C
 invertible and D skew.  Integral shears [[I, B], [0, A]] act by congruence;
 the solver below drives D towards 0 along that action, which is the
-effective content of the density statement for split forms.  Everything
-here is floating point except three parts in exact integer arithmetic: the
-solver's lift of a reduced basis from one embedding weight to the next, its
-bound on each candidate's residual, by which it ranks, stops and reports,
-and the exterior-square bridge at the bottom.
+effective content of the density statement for split forms.  A float
+matrix is a tuple of rows of Python floats, as an integer matrix is in
+`intlin`, and every float pairing is one `intlin._fdot`, so each result
+has the same bits on every host.  Four parts are exact integer arithmetic:
+determinants, read over one power-of-two denominator and rounded once, the
+solver's lift of a reduced basis from one embedding weight to the next,
+its bound on each candidate's residual, by which it ranks, stops and
+reports, and the exterior-square bridge at the bottom.
 """
 
 import math
+import random
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     DegenerateGram,
@@ -25,6 +28,7 @@ from .errors import (
     NotVanishingOnL,
 )
 from . import intlin
+from .intlin import _fdot, transpose
 from .isometries import Isometry
 from .lattice_core import QuadLattice, Sublattice
 
@@ -38,12 +42,49 @@ LLL_MAX_STEPS = 200_000
 
 
 def _as_float_matrix(m):
-    """m as a square float array, each row read by `intlin._reals`; rows
-    of unequal length raise ValueError."""
-    a = np.array([intlin._reals(row) for row in m])
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    """m as a square tuple of float rows, each row read by `intlin._reals`;
+    rows of unequal length raise ValueError."""
+    try:
+        rows = [tuple(row) for row in m]
+    except TypeError:
+        raise TypeError("expected a square matrix given as a list of rows") from None
+    a = tuple(map(intlin._reals, rows))
+    if any(len(row) != len(a[0]) for row in a):
+        raise ValueError("matrix rows must have equal length")
+    if not a or len(a[0]) != len(a):
         raise DimensionMismatch("expected a square matrix")
     return a
+
+
+def _mat_mul(a, b):
+    """a·b for float or integer matrices, each entry one `_fdot`."""
+    bt = transpose(b)
+    return tuple(tuple([_fdot(row, col) for col in bt]) for row in a)
+
+
+def _skew_part(m):
+    """½(m − mᵀ), entry by entry."""
+    return tuple(tuple((x - y) / 2.0 for x, y in zip(r, c)) for r, c in zip(m, zip(*m)))
+
+
+def _is_skew(m):
+    return all(x == -y for r, c in zip(m, zip(*m)) for x, y in zip(r, c))
+
+
+def _over_common_denominator(rows):
+    """Float rows as integer rows over one power-of-two denominator: every
+    float is a dyadic rational, so the largest denominator serves them all."""
+    ratios = [[float(x).as_integer_ratio() for x in row] for row in rows]
+    den = max(q for row in ratios for _, q in row)
+    return [[p * (den // q) for p, q in row] for row in ratios], den
+
+
+def _det(m):
+    """The float nearest det m: Bareiss on the integers of m over one
+    denominator, then one correctly rounded division, which raises
+    OverflowError past the float range."""
+    ints, den = _over_common_denominator(m)
+    return intlin.det_bareiss(ints) / den ** len(m)
 
 
 def _check_complementary(l: Sublattice, lprime: Sublattice):
@@ -51,9 +92,7 @@ def _check_complementary(l: Sublattice, lprime: Sublattice):
     sum to the full lattice."""
     stacked = l.basis + lprime.basis
     if abs(intlin.det_bareiss(stacked)) != 1:
-        raise NotComplementary(
-            "integral spans of the planes do not sum to the full lattice"
-        )
+        raise NotComplementary("integral spans of the planes do not sum to the full lattice")
     return stacked
 
 
@@ -62,14 +101,13 @@ class LinearSymplecticForm:
 
     def __init__(self, matrix):
         a = _as_float_matrix(matrix)
-        if a.shape[0] % 2 != 0:
+        if len(a) % 2 != 0:
             raise DimensionMismatch("symplectic forms live in even dimension")
-        if not np.array_equal(a, -a.T):
+        if not _is_skew(a):
             raise ValueError("matrix must be exactly skew-symmetric")
         if _pf(a) == 0.0:
             raise DegenerateGram("form is degenerate (zero Pfaffian)")
         self.matrix = a
-        self.matrix.setflags(write=False)
 
 
 class SplitBlockForm:
@@ -78,33 +116,30 @@ class SplitBlockForm:
     def __init__(self, c, d):
         c = _as_float_matrix(c)
         d = _as_float_matrix(d)
-        if c.shape != d.shape:
+        if len(c) != len(d):
             raise DimensionMismatch("C and D must share a size")
-        # forward error bound of the float determinant: a small multiple of
-        # n·eps·∏ᵢ‖cᵢ‖₂, with ∏ᵢ‖cᵢ‖₂ Hadamard's bound (Higham, Accuracy and
-        # Stability of Numerical Algorithms, 2002)
-        hadamard = float(np.prod(np.linalg.norm(c, axis=1)))
-        rounding = 4 * c.shape[0] * np.finfo(float).eps * hadamard
-        if abs(np.linalg.det(c) - 1.0) > DET_TOL + rounding:
+        # det C is exact up to one rounding, but a shear image C′ = AᵀC is
+        # rounded entry by entry, so its det may miss 1 by a small multiple
+        # of n·eps·∏ᵢ‖cᵢ‖₂, ∏ᵢ‖cᵢ‖₂ being Hadamard's bound (Higham, Accuracy
+        # and Stability of Numerical Algorithms, 2002)
+        hadamard = math.prod(math.hypot(*row) for row in c)
+        rounding = 4 * len(c) * sys.float_info.epsilon * hadamard
+        if abs(_det(c) - 1.0) > DET_TOL + rounding:
             raise ValueError("C must have determinant 1")
-        if not np.array_equal(d, -d.T):
+        if not _is_skew(d):
             raise ValueError("D must be exactly skew-symmetric")
         self.c = c
         self.d = d
-        self.c.setflags(write=False)
-        self.d.setflags(write=False)
 
     @property
     def n(self):
-        return self.c.shape[0]
+        return len(self.c)
 
     def assembled(self):
-        n = self.n
-        out = np.zeros((2 * n, 2 * n))
-        out[:n, n:] = -self.c.T
-        out[n:, :n] = self.c
-        out[n:, n:] = self.d
-        return out
+        zero = (0.0,) * self.n
+        return tuple((*zero, *(-x for x in col)) for col in zip(*self.c)) + tuple(
+            (*crow, *drow) for crow, drow in zip(self.c, self.d)
+        )
 
 
 class IntegralShear:
@@ -115,9 +150,7 @@ class IntegralShear:
         n = len(self.b)
         if any(len(row) != n for row in self.b):
             raise DimensionMismatch("B must be square")
-        if a is None:
-            a = intlin.identity(n)
-        self.a = tuple(map(intlin._ints, a))
+        self.a = tuple(map(intlin._ints, intlin.identity(n) if a is None else a))
         if len(self.a) != n or any(len(row) != n for row in self.a):
             raise DimensionMismatch("A must match B in size")
         if intlin.det_bareiss(self.a) != 1:
@@ -131,57 +164,51 @@ class IntegralShear:
 def pfaffian(m):
     """Pfaffian of a square matrix by recursive first-row expansion."""
     a = _as_float_matrix(m)
-    if not np.array_equal(a, -a.T):
+    if not _is_skew(a):
         raise ValueError("pfaffian needs an exactly skew matrix")
     return _pf(a)
 
 
 def _pf(a):
-    m = a.shape[0]
+    m = len(a)
     if m % 2 != 0:
         raise DimensionMismatch("odd-size skew matrices have no pfaffian")
     if m == 0:
         return 1.0
     total = 0.0
-    rest = list(range(1, m))
+    rest = range(1, m)
     for pos, j in enumerate(rest):
         keep = [k for k in rest if k != j]
         sign = -1.0 if pos % 2 else 1.0
-        total += sign * a[0, j] * _pf(a[np.ix_(keep, keep)])
-    return float(total)
+        total += sign * a[0][j] * _pf([[a[r][s] for s in keep] for r in keep])
+    return total
 
 
 def is_lagrangian_subspace(omega: LinearSymplecticForm, l: Sublattice) -> bool:
     a = omega.matrix
-    if 2 * l.rank != a.shape[0]:
+    if 2 * l.rank != len(a):
         raise DimensionMismatch("plane rank must be half the dimension")
-    basis = np.array(l.basis, dtype=float)
-    pairings = basis @ a @ basis.T
-    return bool(np.max(np.abs(pairings)) <= VANISH_TOL)
+    pairings = _mat_mul(_mat_mul(l.basis, a), transpose(l.basis))
+    return max(abs(x) for row in pairings for x in row) <= VANISH_TOL
 
 
-def to_blocks(
-    omega: LinearSymplecticForm, l: Sublattice, lprime: Sublattice
-) -> SplitBlockForm:
+def to_blocks(omega: LinearSymplecticForm, l: Sublattice, lprime: Sublattice) -> SplitBlockForm:
     """Reads off (C, D) in the basis adapted to the pair (l, l′)."""
-    a = omega.matrix
-    n = a.shape[0] // 2
+    n = len(omega.matrix) // 2
     if l.rank != n or lprime.rank != n:
         raise DimensionMismatch("both planes must have half rank")
-    stacked = _check_complementary(l, lprime)
+    s = _check_complementary(l, lprime)
     if not is_lagrangian_subspace(omega, l):
         raise NotVanishingOnL("form does not vanish on the first plane")
-    s = np.array(stacked, dtype=float)
-    adapted = s @ a @ s.T
-    d = adapted[n:, n:]
-    return SplitBlockForm(adapted[n:, :n], (d - d.T) / 2.0)
+    lower = _mat_mul(_mat_mul(s, omega.matrix), transpose(s))[n:]
+    return SplitBlockForm([r[:n] for r in lower], _skew_part([r[n:] for r in lower]))
 
 
 def from_blocks(f: SplitBlockForm, l: Sublattice, lprime: Sublattice) -> LinearSymplecticForm:
     """Reassembles the ambient form with prescribed adapted blocks."""
-    sinv = np.array(intlin.integer_inverse(_check_complementary(l, lprime)), dtype=float)
-    m = sinv @ f.assembled() @ sinv.T
-    return LinearSymplecticForm((m - m.T) / 2.0)
+    sinv = intlin.integer_inverse(_check_complementary(l, lprime))
+    m = _mat_mul(_mat_mul(sinv, f.assembled()), transpose(sinv))
+    return LinearSymplecticForm(_skew_part(m))
 
 
 def act(g: IntegralShear, f: SplitBlockForm) -> SplitBlockForm:
@@ -189,11 +216,14 @@ def act(g: IntegralShear, f: SplitBlockForm) -> SplitBlockForm:
     C′ = AᵀC and D′ = ½(AᵀDA − (AᵀDA)ᵀ) + (C′B − (C′B)ᵀ)."""
     if g.n != f.n:
         raise DimensionMismatch("shear size must match the form")
-    a = np.array(g.a, dtype=float)
-    cprime = a.T @ f.c
-    ada = a.T @ f.d @ a
-    cb = cprime @ np.array(g.b, dtype=float)
-    return SplitBlockForm(cprime, (ada - ada.T) / 2.0 + (cb - cb.T))
+    at = transpose(g.a)
+    cprime = _mat_mul(at, f.c)
+    cb = _mat_mul(cprime, g.b)
+    ada = _skew_part(_mat_mul(_mat_mul(at, f.d), g.a))
+    d = tuple(
+        tuple(s + (x - y) for s, x, y in zip(*rows)) for rows in zip(ada, cb, zip(*cb))
+    )
+    return SplitBlockForm(cprime, d)
 
 
 # ---------------------------------------------------------------------------
@@ -231,23 +261,22 @@ def _lll(rows):
       entries against b*_0..b*_{i−2} and is completed at the top of the
       loop the next time the walk is at index i.
     """
-    b = [np.array(r, dtype=float) for r in rows]
+    b = [list(map(float, r)) for r in rows]
     k = len(b)
     u = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
     star = [None] * k
     norms = [0.0] * k
     mu = [[0.0] * k for _ in range(k)]
     # chain[i][:fresh[i] + 1] and mu[i][:fresh[i]] are current
-    chain = [[r.copy()] for r in b]
+    chain = [[r] for r in b]
     fresh = [0] * k
 
-    # for two vectors ndarray.dot is the kernel behind @, with less dispatch
     def mu_of(i, j):
-        return float(b[i].dot(star[j])) / norms[j] if norms[j] else 0.0
+        return _fdot(b[i], star[j]) / norms[j] if norms[j] else 0.0
 
     def set_star(i):
         star[i] = s = chain[i][i]
-        norms[i] = float(s.dot(s))
+        norms[i] = _fdot(s, s)
         fresh[i] = i
         for r in range(i + 1, k):
             if fresh[r] > i:
@@ -258,8 +287,8 @@ def _lll(rows):
         del partials[fresh[i] + 1 :]
         v = partials[-1]
         for j in range(fresh[i], i):
-            mu[i][j] = mu_of(i, j)
-            v = v - mu[i][j] * star[j]
+            mu[i][j] = m = mu_of(i, j)
+            v = [x - m * y for x, y in zip(v, star[j])]
             partials.append(v)
         set_star(i)
 
@@ -269,20 +298,18 @@ def _lll(rows):
     while i < k:
         steps += 1
         if steps > LLL_MAX_STEPS:
-            raise DidNotConverge(
-                f"lattice reduction did not finish in {LLL_MAX_STEPS} steps"
-            )
+            raise DidNotConverge(f"lattice reduction did not finish in {LLL_MAX_STEPS} steps")
         if fresh[i] < i:
             gso_row(i)
         changed = False
         for j in range(i - 1, -1, -1):
             q = round(mu_of(i, j) if changed else mu[i][j])
             if q != 0:
-                b[i] = b[i] - q * b[j]
+                b[i] = [x - q * y for x, y in zip(b[i], b[j])]
                 u[i] = [x - q * y for x, y in zip(u[i], u[j])]
                 changed = True
         if changed:
-            chain[i] = [b[i].copy()]
+            chain[i] = [b[i]]
             fresh[i] = 0
             gso_row(i)
         if norms[i] >= (LLL_DELTA - mu[i][i - 1] ** 2) * norms[i - 1]:
@@ -300,13 +327,12 @@ def _lll(rows):
 def _babai(reduced, transform, star, norms, target):
     """Nearest-plane: integer coefficients (on the original basis) of a
     lattice vector close to target, given the output of `_lll`."""
-    k = len(reduced)
-    t = np.array(target, dtype=float)
-    coeffs = [0] * k
-    for i in range(k - 1, -1, -1):
-        c = round(float(t @ star[i]) / norms[i]) if norms[i] else 0
+    t = target
+    coeffs = [0] * len(reduced)
+    for i in reversed(range(len(reduced))):
+        c = round(_fdot(t, star[i]) / norms[i]) if norms[i] else 0
         coeffs[i] = c
-        t = t - c * reduced[i]
+        t = [x - c * y for x, y in zip(t, reduced[i])]
     return intlin.mat_vec(intlin.transpose(transform), coeffs)
 
 
@@ -316,14 +342,6 @@ class SolveResult:
     b: tuple
     err: float
     rounds: int
-
-
-def _over_common_denominator(rows):
-    """Float rows as integer rows over one power-of-two denominator: every
-    float is a dyadic rational, so the largest denominator serves them all."""
-    ratios = [[float(x).as_integer_ratio() for x in row] for row in rows]
-    den = max(q for row in ratios for _, q in row)
-    return [[p * (den // q) for p, q in row] for row in ratios], den
 
 
 def _directions(c):
@@ -348,7 +366,7 @@ def _lifted_rows(u, dirs, den, mu):
     value (an integer quotient, which Python rounds correctly)."""
     p, q = mu.as_integer_ratio()
     return [
-        np.array([x * p / q for x in row] + [s * q / (den * p) for s in srow])
+        [x * p / q for x in row] + [s * q / (den * p) for s in srow]
         for row, srow in zip(u, intlin.mat_mul(u, dirs))
     ]
 
@@ -374,7 +392,7 @@ def _ladder(dirs, den, rhs):
     for mu in _WEIGHTS:
         reduced, t, star, norms = _lll(_lifted_rows(u, dirs, den, mu))
         u = intlin.mat_mul(t, u)
-        target = np.concatenate([np.zeros(k), np.array(rhs) / mu])
+        target = [0.0] * k + [x / mu for x in rhs]
         yield _babai(reduced, u, star, norms, target)
 
 
@@ -389,9 +407,7 @@ def _residual_bound(cols, dup, den, coeffs):
     return bound if p * den >= top * q else math.nextafter(bound, math.inf)
 
 
-def approx_by_split_orbit(
-    target: SplitBlockForm, eps, delta, budget=8, seed=0
-) -> SolveResult:
+def approx_by_split_orbit(target: SplitBlockForm, eps, delta, budget=8, seed=0) -> SolveResult:
     """Approximates (C, D) by a shear image of a split form (C′, 0).
 
     Each round perturbs C within delta (re-normalized to determinant 1)
@@ -403,27 +419,26 @@ def approx_by_split_orbit(
     and raises, carrying the best incumbent found.  With delta = 0 every
     round would repeat the first, so only the first runs.
     """
-    if not (0 < eps < np.inf and 0 <= delta < np.inf):
+    if not (0 < eps < math.inf and 0 <= delta < math.inf):
         raise InvalidTolerance("need finite eps > 0 and finite delta >= 0")
     if budget < 1:
         raise InvalidTolerance("budget must be at least one round")
     c, d, n = target.c, target.d, target.n
-    as_tuple = lambda m: tuple(map(tuple, m.tolist()))
-    if not d.any():
-        return SolveResult(as_tuple(c), ((0,) * n,) * n, 0.0, 0)
-    rng = np.random.default_rng(seed)
+    if not any(map(any, d)):
+        return SolveResult(c, ((0,) * n,) * n, 0.0, 0)
+    rng = random.Random(seed)
     best = None  # (score, flattened B, C′, round)
     for round_no in range(1, budget + 1):
         # the first round keeps C; a later one keeps C if no draw fits
         cprime = c
         for _ in range(32 if round_no > 1 else 0):
-            pert = rng.uniform(-delta / 2, delta / 2, size=(n, n))
-            cand = c + pert
-            det = np.linalg.det(cand)
+            cand = [[x + rng.uniform(-delta / 2, delta / 2) for x in row] for row in c]
+            det = _det(cand)
             if det <= 0:
                 continue
-            cand = cand * det ** (-1.0 / n)
-            if np.max(np.abs(cand - c)) <= delta:
+            scale = det ** (-1.0 / n)
+            cand = tuple(tuple(x * scale for x in row) for row in cand)
+            if max(abs(x - y) for r, s in zip(cand, c) for x, y in zip(r, s)) <= delta:
                 cprime = cand
                 break
         ints, den = _over_common_denominator([*cprime, *d])
@@ -438,12 +453,11 @@ def approx_by_split_orbit(
             break
     err, coeffs, cprime, round_no = best
     b = tuple(tuple(coeffs[i * n : (i + 1) * n]) for i in range(n))
-    res = SolveResult(as_tuple(cprime), b, err, round_no)
+    res = SolveResult(cprime, b, err, round_no)
     if err <= eps:
         return res
     raise DidNotConverge(
-        "no shear image reached the requested accuracy within budget",
-        incumbent=res,
+        "no shear image reached the requested accuracy within budget", incumbent=res
     )
 
 
@@ -454,27 +468,14 @@ _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def _perm_sign(p):
-    sign = 1
-    p = list(p)
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
+    return (-1) ** sum(x > y for i, x in enumerate(p) for y in p[i + 1 :])
 
 
 def wedge_gram() -> QuadLattice:
     """Rank-6 pairing of coordinate 2-wedges against the 4-volume."""
-    gram = []
-    for a in _PAIRS:
-        row = []
-        for b in _PAIRS:
-            if set(a) & set(b):
-                row.append(0)
-            else:
-                row.append(_perm_sign(a + b))
-        gram.append(tuple(row))
-    return QuadLattice(tuple(gram))
+    return QuadLattice(
+        tuple(tuple(0 if set(a) & set(b) else _perm_sign(a + b) for b in _PAIRS) for a in _PAIRS)
+    )
 
 
 def wedge_square_action(g) -> Isometry:
@@ -484,10 +485,7 @@ def wedge_square_action(g) -> Isometry:
         raise DimensionMismatch("expected a 4×4 matrix")
     if intlin.det_bareiss(m) != 1:
         raise ValueError("matrix must have determinant 1")
-    out = []
-    for (k, l) in _PAIRS:
-        row = []
-        for (i, j) in _PAIRS:
-            row.append(m[k][i] * m[l][j] - m[k][j] * m[l][i])
-        out.append(tuple(row))
-    return Isometry(tuple(out), wedge_gram())
+    minors = tuple(
+        tuple(m[k][i] * m[l][j] - m[k][j] * m[l][i] for i, j in _PAIRS) for k, l in _PAIRS
+    )
+    return Isometry(minors, wedge_gram())

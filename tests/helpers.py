@@ -41,16 +41,17 @@ from latorb.lattice_core import (
 from latorb.torus_forms import IntegralShear, LinearSymplecticForm
 
 
-def run_python(*args):
+def run_python(*args, **env):
     """A fresh interpreter with the package on its path, so the run sees
     no module state of this one, and an input it cannot finish on fails
-    with TimeoutExpired instead of hanging the suite."""
+    with TimeoutExpired instead of hanging the suite.  Keywords set
+    environment variables for that interpreter alone."""
     src = str(Path(latorb.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True, text=True, timeout=30,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, **env),
     )
 
 
@@ -160,8 +161,10 @@ def reference_row_hnf(m):
 def reference_lll(rows, delta=0.99):
     """Float LLL that recomputes the whole Gram–Schmidt data after every
     change to the basis: the oracle the row-by-row `_lll` must match bit
-    for bit.  Returns (reduced_rows, transform)."""
-    b = [np.array(r, dtype=float) for r in rows]
+    for bit, with every pairing the same float dot `intlin._fdot`.
+    Returns (reduced_rows, transform)."""
+    dot = intlin._fdot
+    b = [list(map(float, r)) for r in rows]
     k = len(b)
     u = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
@@ -169,11 +172,11 @@ def reference_lll(rows, delta=0.99):
         star = []
         mu = [[0.0] * k for _ in range(k)]
         for i in range(k):
-            v = b[i].copy()
+            v = b[i]
             for j in range(i):
-                denom = float(star[j] @ star[j])
-                mu[i][j] = float(b[i] @ star[j]) / denom if denom else 0.0
-                v = v - mu[i][j] * star[j]
+                denom = dot(star[j], star[j])
+                mu[i][j] = dot(b[i], star[j]) / denom if denom else 0.0
+                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
             star.append(v)
         return star, mu
 
@@ -183,11 +186,11 @@ def reference_lll(rows, delta=0.99):
         for j in range(i - 1, -1, -1):
             q = round(mu[i][j])
             if q != 0:
-                b[i] = b[i] - q * b[j]
+                b[i] = [x - q * y for x, y in zip(b[i], b[j])]
                 u[i] = [x - q * y for x, y in zip(u[i], u[j])]
                 star, mu = gso()
-        norm_prev = float(star[i - 1] @ star[i - 1])
-        norm_here = float(star[i] @ star[i])
+        norm_prev = dot(star[i - 1], star[i - 1])
+        norm_here = dot(star[i], star[i])
         if norm_here >= (delta - mu[i][i - 1] ** 2) * norm_prev:
             i += 1
         else:
@@ -200,14 +203,16 @@ def reference_lll(rows, delta=0.99):
 
 def reference_gso(rows):
     """From-scratch Gram–Schmidt vectors of rows, as nearest-plane rounding
-    computed them before it reused the reduction's."""
+    computed them before it reused the reduction's, each pairing one
+    `intlin._fdot`."""
     star = []
     for r in rows:
-        v = r.copy()
+        v = r
         for w in star:
-            denom = float(w @ w)
+            denom = intlin._fdot(w, w)
             if denom:
-                v = v - (float(r @ w) / denom) * w
+                m = intlin._fdot(r, w) / denom
+                v = [x - m * y for x, y in zip(v, w)]
         star.append(v)
     return star
 
@@ -512,10 +517,11 @@ def compose_shears(g: IntegralShear, h: IntegralShear) -> IntegralShear:
 
 
 def pure_shear_act(b, c, d):
-    """(C, D + (CB − (CB)ᵀ)): the block formula of a shear with A = I,
-    in the float order `act` used for it before it took any A."""
-    cb = c @ np.array(b, dtype=float)
-    return c, d + (cb - cb.T)
+    """(C, D + (CB − (CB)ᵀ)): the block formula of a shear with A = I, as
+    `act` computed it before it took any A, each entry of CB one float
+    dot."""
+    cb = [[intlin._fdot(row, col) for col in zip(*b)] for row in c]
+    return c, [[x + (cb[i][j] - cb[j][i]) for j, x in enumerate(row)] for i, row in enumerate(d)]
 
 
 def reference_pfaffian(a):

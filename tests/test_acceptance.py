@@ -267,7 +267,7 @@ def _random_target(rng, dcap=1.0):
 def _oracle_best(f, delta=0.1, box=6):
     """Exhaustive minimum over a 5-point per-entry grid of admissible
     C-perturbations and every integer B in [-box, box]^4."""
-    c, d = f.c, float(f.d[1, 0])
+    c, d = np.array(f.c), f.d[1][0]
     grid = np.linspace(-delta, delta, 5)
     bvals = np.arange(-box, box + 1, dtype=float)
     best = np.inf

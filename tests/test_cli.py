@@ -351,6 +351,24 @@ def test_torus_act_rejects_a_determinant_off_by_5e_4(capsys):
     assert "C must have determinant 1" in err
 
 
+def test_torus_act_names_the_shape_of_a_flat_matrix(capsys):
+    form = '{"C":[1.0,2.0],"D":[[0.0,0.0],[0.0,0.0]]}'
+    code, out, err = run(capsys, "torus", "act", "--form", form, "--shear", '{"B":[[0,0],[0,0]]}')
+    assert (code, out) == (1, "")
+    assert err == "input error: expected a square matrix given as a list of rows\n"
+
+
+def test_torus_act_rejects_a_determinant_past_the_float_range(capsys):
+    # det C = 1e400 is exact, so it cannot pass for 1 when its Hadamard
+    # slack overflows; a C with det 1 and entries near 1e154 still passes
+    form = '{"C":[[1e200,0.0],[0.0,1e200]],"D":[[0.0,0.0],[0.0,0.0]]}'
+    code, out, err = run(capsys, "torus", "act", "--form", form, "--shear", '{"B":[[0,0],[0,0]]}')
+    assert (code, out) == (1, "") and err.startswith("input error:")
+    form = '{"C":[[1e154,1e154],[0.0,1e-154]],"D":[[0.0,0.0],[0.0,0.0]]}'
+    data = run_json(capsys, "torus", "act", "--form", form, "--shear", '{"B":[[0,0],[0,0]]}')
+    assert data["C"] == [[1e154, 1e154], [0.0, 1e-154]]
+
+
 def test_torus_blocks_verb(capsys):
     data = run_json(
         capsys,
@@ -661,8 +679,18 @@ EXACT_VERBS = [
     ["irr", "find-isotropic", "--model", "t4", "--y", SYMBOLIC_Y, "--height", "2"],
     ["irr", "check-u", "--model", "t4", "--u", T4_U, "--y", SYMBOLIC_Y],
     ["irr", "certify", "--model", "t4", "--y", SYMBOLIC_Y, "--height", "1"],
+    ["torus", "blocks", "--omega", "[[0,1,0,0],[-1,0,0,0],[0,0,0,1],[0,0,-1,0]]",
+     "--l", "[[0,1,0,0],[0,0,0,1]]", "--lprime", "[[1,0,0,0],[0,0,1,0]]"],
+    ["torus", "act", "--form", '{"C":[[1,0],[0,1]],"D":[[0,0.5],[-0.5,0]]}',
+     "--shear", '{"B":[[0,1],[0,0]]}'],
+    ["torus", "approx", "--target", '{"C":[[1.0,0.0],[0.0,1.0]],"D":[[0.0,-0.3],[0.3,0.0]]}',
+     "--eps", "1e-2"],
+    ["torus", "wedge", "--g", json.dumps(intlin.identity(4))],
 ]
-NUMPY_VERBS = [["torus", "wedge", "--g", json.dumps(intlin.identity(4))]]
+NUMPY_VERBS = [
+    ["explore", "--model", "t4", "--u", T4_U, "--y0", Y0_T4,
+     "--targets", "[[0.0,0.0,1.0,0.5,0.0,0.0]]", "--depth", "1"],
+]
 
 # Runs each verb given as JSON in turn and prints, per verb, its exit code
 # and whether numpy and mpmath are loaded after it.
@@ -679,8 +707,9 @@ print(json.dumps(out))
 
 
 def test_each_verb_loads_only_the_packages_it_uses():
-    # numpy is for the torus and explore verbs alone, and no verb loads
-    # mpmath: the exact verbs, norm signs included, load neither package
+    # numpy is for the explore verb alone, and no verb loads mpmath: every
+    # other verb, norm signs and the torus solver included, loads neither
+    # package
     done = run_python("-c", "import sys, latorb.cli; "
                       "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))")
     assert done.returncode == 0, done.stderr

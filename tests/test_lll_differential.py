@@ -14,15 +14,19 @@ from helpers import reference_gso, reference_lifted_rows, reference_lll
 from latorb import intlin, torus_forms as tf
 
 
+def bits(rows):
+    return [list(map(float.hex, r)) for r in rows]
+
+
 def assert_matches_reference(rows, out, exact=False):
     reduced, transform, star, norms = out
     ref_reduced, ref_transform = reference_lll(rows)
-    assert [r.tobytes() for r in reduced] == [r.tobytes() for r in ref_reduced]
+    assert bits(reduced) == bits(ref_reduced)
     assert transform == ref_transform
     # what nearest-plane rounding reads is the from-scratch orthogonalisation
     ref_star = reference_gso(reduced)
-    assert [s.tobytes() for s in star] == [s.tobytes() for s in ref_star]
-    assert norms == [float(s @ s) for s in ref_star]
+    assert bits(star) == bits(ref_star)
+    assert norms == [intlin._fdot(s, s) for s in ref_star]
     assert intlin.det_bareiss(transform) in (1, -1)
     u = np.array(transform, dtype=float)
     r = np.array(rows, dtype=float)

@@ -2,7 +2,8 @@
 which strips asserts, no module may change an imported module's state, no
 public name may go unused, and the declared dependencies are exactly the
 third-party packages it imports, and the README states the values of
-the module constants.  Real-number input is read in one place."""
+the module constants.  Real-number input is read in one place, and only
+the explorer imports numpy."""
 
 import ast
 import re
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import run_python
 import latorb
 
 SRC = Path(latorb.__file__).parent
@@ -250,6 +252,20 @@ def test_fractions_only_at_the_parsing_boundary():
         if "fractions" in _imported_modules(ast.parse(path.read_text()))
     }
     assert importers <= {"irrationality", "jsonio"}
+
+
+def test_numpy_only_in_the_explorer():
+    # every other float is a Python float paired by `intlin._fdot`, so no
+    # reported number reads a BLAS reduction, and importing the torus
+    # layer does not load numpy
+    importers = {
+        path.stem
+        for path in SRC.glob("*.py")
+        if "numpy" in _imported_modules(ast.parse(path.read_text()))
+    }
+    assert importers == {"orbit_explorer"}
+    done = run_python("-c", "import sys, latorb.torus_forms; print('numpy' in sys.modules)")
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def test_declared_dependencies_are_the_third_party_imports():

@@ -108,7 +108,7 @@ def test_pfaffian_matches_the_closed_forms():
             x = nprng.integers(-2, 3, size=(2 * n, 2 * n)).astype(float)
             mats.append(x - x.T)
     for m in mats:
-        got, want = tf.pfaffian(m), reference_pfaffian(m)
+        got, want = tf.pfaffian(m), reference_pfaffian(np.array(m))
         assert np.float64(got).tobytes() == np.float64(want).tobytes() or got == want == 0.0
 
 
@@ -117,6 +117,12 @@ def test_pfaffian_rejects_bad_input():
         tf.pfaffian(np.zeros((3, 3)))
     with pytest.raises(ValueError):
         tf.pfaffian(np.ones((2, 2)))
+
+
+def test_a_matrix_that_is_not_a_list_of_rows_names_the_shape():
+    for flat in ([1.0, 2.0], 1.0):
+        with pytest.raises(TypeError, match="square matrix given as a list of rows"):
+            tf.pfaffian(flat)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -189,8 +195,8 @@ def test_blocks_round_trip_through_random_bases():
         f = random_split_form(rng)
         omega = tf.from_blocks(f, l, lp)
         back = tf.to_blocks(omega, l, lp)
-        assert np.max(np.abs(back.c - f.c)) <= 1e-12
-        assert np.max(np.abs(back.d - f.d)) <= 1e-12
+        assert np.max(np.abs(np.subtract(back.c, f.c))) <= 1e-12
+        assert np.max(np.abs(np.subtract(back.d, f.d))) <= 1e-12
 
 
 # --- the shear action --------------------------------------------------------
@@ -219,8 +225,8 @@ def test_act_at_a_identity_is_the_pure_shear_formula():
             g = random_shear(rng, n, with_a=False)
             out = tf.act(g, f)
             c, d = pure_shear_act(g.b, f.c, f.d)
-            assert out.c.tobytes() == c.tobytes()
-            assert out.d.tobytes() == d.tobytes()
+            assert _hex(out.c) == _hex(c)
+            assert _hex(out.d) == _hex(d)
 
 
 def test_act_matches_dense_congruence():
@@ -253,7 +259,7 @@ def test_act_composes_as_congruence():
         h = random_shear(rng)
         chained = tf.act(h, tf.act(g, f))
         combined = tf.act(compose_shears(g, h), f)
-        assert np.max(np.abs(chained.assembled() - combined.assembled())) <= 1e-10
+        assert np.max(np.abs(np.subtract(chained.assembled(), combined.assembled()))) <= 1e-10
 
 
 def test_split_form_accepts_the_image_of_a_nontrivial_a():
@@ -266,9 +272,9 @@ def test_split_form_accepts_the_image_of_a_nontrivial_a():
     )
     a = ((31, 136), (-75, -329))
     out = tf.act(tf.IntegralShear(((2, -3), (0, 2)), a), f)
-    assert out.c.tolist() == [[771.0, 1379.0], [3382.0, 6049.0]]
+    assert out.c == ((771.0, 1379.0), (3382.0, 6049.0))
     with pytest.raises(ValueError):  # det 772
-        tf.SplitBlockForm(out.c + np.array([[0.0, 0.0], [0.0, 1.0]]), out.d)
+        tf.SplitBlockForm(np.add(out.c, [[0.0, 0.0], [0.0, 1.0]]), out.d)
 
 
 def test_split_form_rejects_a_determinant_off_by_5e_4():
