@@ -21,6 +21,7 @@ from .lattice_core import (
     QuadLattice,
     _check_vec,
     _dot,
+    _gram_column,
     gram_column,
     is_even,
     is_isotropic,
@@ -65,29 +66,33 @@ class Isometry:
 
 
 def _det_mod3(m):
-    """det m mod 3, by elimination over Z/3.
+    """det m mod 3, by elimination over Z/3 on rows that hold only their
+    nonzero entries, as {column: entry mod 3}.
 
     For an isometry this decides the determinant exactly: MᵀGM = G with
-    det G ≠ 0 forces det M = ±1, and 1 ≢ −1 (mod 3).  Each step moves the
-    first row k with a nonzero leading entry p to the top, a cyclic shift
-    of k + 1 rows with sign (−1)^k, and clears the first column below it;
-    p⁻¹ = p mod 3, so each other row i loses a_i0·p times row k.
+    det G ≠ 0 forces det M = ±1, and 1 ≢ −1 (mod 3).  Step c moves the
+    first remaining row k with a nonzero entry p in column c to the top,
+    a cyclic shift of k + 1 rows with sign (−1)^k, and clears column c
+    below it; p⁻¹ = p mod 3, so each other row i loses a_ic·p times
+    row k.  A K3 isometry has about 50 nonzeros of 484, and elimination
+    fills in few.
     """
-    a = [[x % 3 for x in row] for row in m]
+    rows = [{j: r for j, x in enumerate(row) if x and (r := x % 3)} for row in m]
     d = 1
-    while a:
-        k = next((i for i, row in enumerate(a) if row[0]), None)
+    for c in range(len(rows)):
+        k = next((i for i, row in enumerate(rows) if c in row), None)
         if k is None:
             return 0
-        p = a.pop(k)
-        d *= -p[0] if k % 2 else p[0]
-        rest = p[1:]
-        a = [
-            [(x - f * y) % 3 for x, y in zip(row[1:], rest)]
-            if (f := row[0] * p[0])
-            else row[1:]
-            for row in a
-        ]
+        p = rows.pop(k)
+        pc = p.pop(c)
+        d *= -pc if k % 2 else pc
+        for row in rows:
+            if f := row.pop(c, 0) * pc:
+                for j, y in p.items():
+                    if r := (row.get(j, 0) - f * y) % 3:
+                        row[j] = r
+                    else:
+                        del row[j]
     return d % 3
 
 
@@ -110,17 +115,32 @@ def invert(g: Isometry) -> Isometry:
     return Isometry(intlin.integer_inverse(g.matrix), g.lattice)
 
 
-def _transvect(e, a, ge, ga, xs):
-    """Images of the vectors xs under x ↦ x + (x,e)a − (x,a)e − ½(a,a)(x,e)e.
+def _nonzeros(w):
+    """The nonzero entries of w, as (i, w_i) pairs."""
+    return [(i, x) for i, x in enumerate(w) if x]
 
-    ge and ga are the Gram columns of e and a.  The caller guarantees
-    (e,e) = 0, (e,a) = 0 and an even lattice, so the correction term is
-    integral.  Pairings and updates read only the nonzero entries of ge,
-    ga, e and a, and a vector with (x,e) = 0 and zero correction comes
-    back unchanged.
+
+def _scaled(k, nz):
+    return [(i, k * x) for i, x in nz]
+
+
+def _step(e, ge, a, ga):
+    """The transvection step at e along a, (½(a,a), e, a, ge, ga) with
+    every vector as its nonzero pairs and ge, ga the Gram columns of e
+    and a; e and ge come as pairs, a and ga dense."""
+    return _dot(ga, a) // 2, e, _nonzeros(a), ge, _nonzeros(ga)
+
+
+def _transvect(step, xs):
+    """Images of the vectors xs under the transvection step
+    x ↦ x + (x,e)a − (x,a)e − ½(a,a)(x,e)e.
+
+    Every step is made with (e,e) = 0, (e,a) = 0 on an even
+    lattice, so the correction term is integral.  Pairings and updates
+    read only the step's nonzeros, and a vector with (x,e) = 0 and zero
+    correction comes back unchanged.
     """
-    half_aa = _dot(ga, a) // 2
-    ge, ga, e, a = ([(i, x) for i, x in enumerate(w) if x] for w in (ge, ga, e, a))
+    half_aa, e, a, ge, ga = step
     out = []
     for x in xs:
         xe = 0
@@ -154,8 +174,8 @@ def eichler_transvection(L: QuadLattice, e, a) -> Isometry:
         raise NotIsotropic("e must be isotropic")
     if _dot(ge, a) != 0:
         raise ValueError("a must pair to zero with e")
-    cols = _transvect(e, a, ge, ga, intlin.identity(L.rank))
-    return Isometry(intlin.transpose(cols), L)
+    step = _step(_nonzeros(e), _nonzeros(ge), a, ga)
+    return Isometry(intlin.transpose(_transvect(step, intlin.identity(L.rank))), L)
 
 
 @lru_cache(maxsize=None)
@@ -187,16 +207,23 @@ class _Frame:
     e1 is the pairing with f1 and so on; partners holds the Gram columns
     of f1, e1, f2, e2 for those pairings, and rest_columns those of rest.
     rest_t holds the rest vectors as columns, so a combination of them is
-    one matrix-vector product.
+    one matrix-vector product.  sparse maps each of "e1", "f1", "e2",
+    "f2" to the nonzero pairs of the vector and of its Gram column, the
+    parts of every step at it or along a multiple of it.
     """
 
-    __slots__ = ("e1", "f1", "e2", "f2", "rest_t", "partners", "rest_columns")
+    __slots__ = ("L", "e1", "f1", "e2", "f2", "rest_t", "partners", "rest_columns", "sparse")
 
     def __init__(self, L, e1, f1, e2, f2, rest):
+        self.L = L
         self.e1, self.f1, self.e2, self.f2 = e1, f1, e2, f2
         self.rest_t = intlin.transpose(rest)
         self.partners = [gram_column(L, v) for v in (f1, e1, f2, e2)]
         self.rest_columns = [gram_column(L, r) for r in rest]
+        self.sparse = {
+            name: (_nonzeros(v), _nonzeros(g))
+            for name, v, g in zip(("f1", "e1", "f2", "e2"), (f1, e1, f2, e2), self.partners)
+        }
 
 
 @lru_cache(maxsize=None)
@@ -226,13 +253,14 @@ def _hyperbolic_frame(L: QuadLattice) -> _Frame:
 class _Reduction:
     """Accumulates a word of transvections driving a vector to frame.e1.
 
-    The word is a list of (e, a, ge, ga) steps, applied first to last, with
-    ge and ga the Gram columns of e and a.  Every e is a frame vector and
-    every a pairs to zero with it, so a step needs no precondition check.
+    The word is a list of steps in `_step`'s form, applied first to
+    last.  Every e is a frame vector and every a pairs to zero with it,
+    so a step needs no precondition check, and its Gram columns come
+    from the frame: a step along a multiple k·f of a frame vector
+    scales f's.
     """
 
-    def __init__(self, L, frame, t):
-        self.L = L
+    def __init__(self, frame, t):
         self.fr = frame
         self.t = tuple(t)
         self.word = []
@@ -241,24 +269,33 @@ class _Reduction:
         """Coordinates of t along e1, f1, e2, f2."""
         return tuple(_dot(g, self.t) for g in self.fr.partners)
 
-    def emit(self, e, a):
-        step = (e, a, gram_column(self.L, e), gram_column(self.L, a))
-        self.t = _transvect(*step, [self.t])[0]
+    def emit(self, step):
+        self.t = _transvect(step, [self.t])[0]
         self.word.append(step)
+
+    def move(self, e, f, k):
+        """The step at frame vector e along k·f; frame vectors are
+        isotropic, so ½(a,a) = 0."""
+        (e, ge), (f, gf) = self.fr.sparse[e], self.fr.sparse[f]
+        self.emit((0, e, _scaled(k, f), ge, _scaled(k, gf)))
+
+    def emit_along(self, e, a):
+        """The step at frame vector e along a vector a of the lattice."""
+        self.emit(_step(*self.fr.sparse[e], a, _gram_column(self.fr.L, a)))
 
     # The four elementary moves act on the 2×2 coefficient matrix
     # M = [[α, −γ], [δ, β]] of t over (e1, f1) × (e2, f2):
     def l_up(self, k):  # M ← [[1,k],[0,1]]·M
-        self.emit(self.fr.e2, tuple(k * x for x in self.fr.e1))
+        self.move("e2", "e1", k)
 
     def l_low(self, k):  # M ← [[1,0],[k,1]]·M
-        self.emit(self.fr.f1, tuple(k * x for x in self.fr.f2))
+        self.move("f1", "f2", k)
 
     def r_up(self, k):  # M ← M·[[1,k],[0,1]]
-        self.emit(self.fr.e2, tuple(k * x for x in self.fr.f1))
+        self.move("e2", "f1", k)
 
     def r_low(self, k):  # M ← M·[[1,0],[k,1]]
-        self.emit(self.fr.e1, tuple(k * x for x in self.fr.f2))
+        self.move("e1", "f2", k)
 
     def swap_left(self):  # M ← [[0,1],[−1,0]]·M
         self.l_up(1)
@@ -285,7 +322,7 @@ class _Reduction:
             d, coeffs = intlin.xgcd_vector(self.rest_pairings())
             if d != 1:  # unimodularity: primitive vectors pair onto 1
                 raise AssertionError("remainder pairings are not coprime")
-            self.emit(self.fr.e1, self.rest_combination([-c for c in coeffs]))
+            self.emit_along("e1", self.rest_combination([-c for c in coeffs]))
         self.dance()
         al, be, ga, de = self.coords()
         if al != 1:
@@ -294,7 +331,7 @@ class _Reduction:
             d, coeffs = intlin.xgcd_vector(self.rest_pairings())
             if d <= 0:
                 raise AssertionError("remainder pairings vanish")
-            self.emit(self.fr.e2, self.rest_combination(coeffs))
+            self.emit_along("e2", self.rest_combination(coeffs))
             self.dance()
             al, be, ga, de = self.coords()
         if not (al == 1 and ga == 0 and de == 0):
@@ -303,7 +340,7 @@ class _Reduction:
             x - al * e - be * f
             for x, e, f in zip(self.t, self.fr.e1, self.fr.f1)
         )
-        self.emit(self.fr.f1, tuple(-x for x in w))
+        self.emit_along("f1", tuple(-x for x in w))
         if self.t != self.fr.e1:
             raise AssertionError("reduction did not reach the frame vector")
         return self.word
@@ -342,7 +379,7 @@ class _Reduction:
             return
 
 
-def map_isotropic(L: QuadLattice, u, v) -> Isometry:
+def map_isotropic(L: QuadLattice, u, v, stats=None) -> Isometry:
     """Integral isometry in the identity component sending u to v.
 
     Requires two orthogonal hyperbolic-plane summands (as in the rank-6
@@ -353,6 +390,8 @@ def map_isotropic(L: QuadLattice, u, v) -> Isometry:
     word with every a negated, and with it the Gram column of a, which is
     linear in a.  Transvections are unipotent, so the word lies in the
     identity component; the check below is a tripwire.
+    A dict passed as stats receives the step counts of the two
+    reductions, "steps_u" and "steps_v", and of the whole word, "steps".
     """
     for t in (u, v):
         if not is_isotropic(L, t):
@@ -360,15 +399,17 @@ def map_isotropic(L: QuadLattice, u, v) -> Isometry:
         if not is_primitive(L, t):
             raise NotPrimitive("endpoints must be primitive")
     frame = _hyperbolic_frame(L)
-    word_u = _Reduction(L, frame, u).run()
-    word_v = _Reduction(L, frame, v).run()
+    word_u = _Reduction(frame, u).run()
+    word_v = _Reduction(frame, v).run()
     word = word_u + [
-        (e, [-x for x in a], ge, [-x for x in ga])
-        for e, a, ge, ga in reversed(word_v)
+        (h, e, _scaled(-1, a), ge, _scaled(-1, ga))
+        for h, e, a, ge, ga in reversed(word_v)
     ]
+    if stats is not None:
+        stats.update(steps_u=len(word_u), steps_v=len(word_v), steps=len(word))
     cols = intlin.identity(L.rank)
     for step in word:
-        cols = _transvect(*step, cols)
+        cols = _transvect(step, cols)
     g = Isometry(intlin.transpose(cols), L)
     if apply(g, u) != tuple(v):
         raise AssertionError("transvection word does not carry u to v")

@@ -65,7 +65,7 @@ def project_to_hyperboloid(L: QuadLattice, v, u=None) -> HyperboloidPoint:
     at u, so the moved point stays in the real span of u^⊥ plus the
     defect direction; a nonpositive-norm result cannot be rescaled.
     """
-    w = [float(x) for x in v]
+    w = intlin._reals(v)
     if u is not None:
         defect = _pairing(L, w, u)
         if defect != 0.0:

@@ -198,9 +198,12 @@ def to_blocks(omega: LinearSymplecticForm, l: Sublattice, lprime: Sublattice) ->
     if l.rank != n or lprime.rank != n:
         raise DimensionMismatch("both planes must have half rank")
     s = _check_complementary(l, lprime)
-    if not is_lagrangian_subspace(omega, l):
+    # the top-left block is l·Ω·lᵀ, entry for entry the pairings that
+    # `is_lagrangian_subspace` takes
+    full = _mat_mul(_mat_mul(s, omega.matrix), transpose(s))
+    if max(abs(x) for row in full[:n] for x in row[:n]) > VANISH_TOL:
         raise NotVanishingOnL("form does not vanish on the first plane")
-    lower = _mat_mul(_mat_mul(s, omega.matrix), transpose(s))[n:]
+    lower = full[n:]
     return SplitBlockForm([r[:n] for r in lower], _skew_part([r[n:] for r in lower]))
 
 

@@ -6,6 +6,8 @@ from collections import deque
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import mat_eq, reflection
 from latorb import intlin, isometries, lattice_core
@@ -62,6 +64,10 @@ def random_primitive_isotropic(rng, L, cap=3):
 
 
 def random_transvection(rng, L):
+    return eichler_transvection(L, *random_transvection_args(rng, L))
+
+
+def random_transvection_args(rng, L):
     while True:
         e = random_primitive_isotropic(rng, L)
         a = [rng.randint(-2, 2) for _ in range(L.rank)]
@@ -71,7 +77,7 @@ def random_transvection(rng, L):
         k = next(i for i, x in enumerate(pe) if x != 0)
         if pa % pe[k] == 0:
             a[k] -= pa // pe[k]
-            return eichler_transvection(L, e, a)
+            return e, a
 
 
 def bfs_reaches(L, gens, u, v, height_cap=6, max_nodes=200000):
@@ -392,6 +398,60 @@ def test_map_isotropic_takes_one_determinant_of_its_result(monkeypatch):
     assert g.matrix not in bareiss
 
 
+@pytest.mark.parametrize("L", [T4, K3], ids=["t4", "k3"])
+def test_map_isotropic_stats_count_the_word(L):
+    # the word is the reduction of u followed by the inverted reduction
+    # of v; every step is one transvection of the result, and a map from
+    # a vector to itself is still the two reductions
+    rng = random.Random(66)
+    for _ in range(5):
+        u = random_primitive_isotropic(rng, L)
+        v = random_primitive_isotropic(rng, L)
+        stats = {}
+        g = map_isotropic(L, u, v, stats=stats)
+        assert set(stats) == {"steps_u", "steps_v", "steps"}
+        assert stats["steps"] == stats["steps_u"] + stats["steps_v"]
+        assert min(stats.values()) >= 1
+        assert g == map_isotropic(L, u, v)  # the sink does not change the map
+        again = {}
+        map_isotropic(L, u, u, stats=again)
+        assert again == {"steps_u": stats["steps_u"], "steps_v": stats["steps_u"],
+                         "steps": 2 * stats["steps_u"]}
+
+
+def test_map_isotropic_steps_take_their_gram_columns_from_the_frame(monkeypatch):
+    # once the frame is cached, no step of a word asks for a Gram column
+    # through the checked reader: moves scale the frame's columns and the
+    # other steps read the sparse Gram directly
+    rng = random.Random(67)
+    map_isotropic(K3, *(random_primitive_isotropic(rng, K3) for _ in range(2)))
+    calls = []
+    monkeypatch.setattr(isometries, "gram_column", lambda *a: calls.append(a))
+    for _ in range(5):
+        u = random_primitive_isotropic(rng, K3)
+        v = random_primitive_isotropic(rng, K3)
+        assert apply(map_isotropic(K3, u, v), u) == v
+    assert calls == []
+
+
+def test_transvection_steps_match_the_dense_formula():
+    # x ↦ x + (x,e)a − (x,a)e − ½(a,a)(x,e)e, evaluated densely with inner,
+    # against the sparse step of eichler_transvection, and the inverse step
+    # (e, −a) undoes it
+    rng = random.Random(68)
+    for L in (T4, K3):
+        for _ in range(10):
+            e, a = random_transvection_args(rng, L)
+            g = eichler_transvection(L, e, a)
+            for x in intlin.identity(L.rank):
+                xe, xa, aa = inner(L, x, e), inner(L, x, a), inner(L, a, a)
+                want = [xi + xe * ai - xa * ei - (aa // 2) * xe * ei
+                        for xi, ai, ei in zip(x, a, e)]
+                assert list(apply(g, x)) == want
+            inv = eichler_transvection(L, e, [-y for y in a])
+            assert compose(inv, g).matrix == intlin.identity(L.rank)
+
+
 def test_map_isotropic_makes_no_evenness_check(monkeypatch):
     # the word's steps are built from the frame and need no per-step
     # precondition checks, and the frame's hyperbolic split already
@@ -417,6 +477,27 @@ def test_det_mod_3_matches_bareiss_mod_3():
         m = [[rng.choice((0, 0, 0, -3, -2, -1, 1, 2, 3, 4)) for _ in range(n)]
              for _ in range(n)]
         assert isometries._det_mod3(m) == intlin.det_bareiss(m) % 3
+
+
+@st.composite
+def mod3_matrices(draw):
+    """Square integer matrices of size 1–8, sparse or dense; some made
+    singular by a row that is an integer combination of two others."""
+    n = draw(st.integers(1, 8))
+    zeros = draw(st.sampled_from((0, 1, 4, 12)))  # weight of 0 among the entries
+    entries = st.sampled_from((0,) * zeros + (-7, -3, -2, -1, 1, 2, 3, 4, 9))
+    m = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        m[i] = [a * x + b * y for x, y in zip(m[j], m[k])] if i not in (j, k) else [0] * n
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(mod3_matrices())
+def test_det_mod3_matches_bareiss_on_drawn_matrices(m):
+    assert isometries._det_mod3(m) == intlin.det_bareiss(m) % 3
 
 
 @pytest.mark.parametrize("L", [T4, K3], ids=["t4", "k3"])

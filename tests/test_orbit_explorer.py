@@ -56,6 +56,19 @@ def test_projection_rejects_nonpositive_norm():
         oe.project_to_hyperboloid(L, (0.0, 0.0, 1.0, -1.0, 0.0, 0.0), U_VEC)
 
 
+def test_projection_reads_its_input_as_reals():
+    # the same reader as HyperboloidPoint: strings and bools are not
+    # numbers, and NaN has no place on the hyperboloid
+    good = (0.3, 0.0, 1.0, 0.7, 0.25, 0.1)
+    for bad in ("0.3", True, False):
+        with pytest.raises(TypeError):
+            oe.project_to_hyperboloid(L, (bad,) + good[1:], U_VEC)
+        with pytest.raises(TypeError):
+            oe.project_to_hyperboloid(L, (bad,) + good[1:])
+    with pytest.raises(ValueError):
+        oe.project_to_hyperboloid(L, (float("nan"),) + good[1:], U_VEC)
+
+
 def test_walk_stays_on_hyperboloid():
     # integral generators preserve the form exactly; float drift stays tiny
     rng = random.Random(13)

@@ -178,6 +178,32 @@ def test_to_blocks_rejects_non_vanishing_plane():
         tf.to_blocks(omega, bad, Sublattice(((0, 0, 1, 0), (0, 0, 0, 1))))
 
 
+def test_to_blocks_vanishing_verdict_is_is_lagrangian_subspace():
+    # to_blocks reads the vanishing of the form on l from the top-left
+    # block of S·Ω·Sᵀ; it must agree with is_lagrangian_subspace, also on
+    # forms whose pairings on l sit near VANISH_TOL
+    rng = random.Random(29)
+    verdicts = set()
+    for _ in range(40):
+        s = random_unimodular(rng, 4)
+        l = Sublattice(tuple(tuple(r) for r in s[:2]))
+        lp = Sublattice(tuple(tuple(r) for r in s[2:]))
+        f = random_split_form(rng)
+        m = [list(r) for r in tf.from_blocks(f, l, lp).matrix]
+        tweak = rng.choice((0.0, 1e-13, 5e-13, 3e-12, 1e-6))
+        m[0][1] += tweak
+        m[1][0] -= tweak
+        omega = tf.LinearSymplecticForm(m)
+        lagrangian = tf.is_lagrangian_subspace(omega, l)
+        verdicts.add(lagrangian)
+        if lagrangian:
+            tf.to_blocks(omega, l, lp)
+        else:
+            with pytest.raises(NotVanishingOnL):
+                tf.to_blocks(omega, l, lp)
+    assert verdicts == {True, False}
+
+
 def test_blocks_round_trip_exactly_on_standard_planes():
     l, lp = standard_lagrangian(2), standard_complement(2)
     f = tf.SplitBlockForm(np.eye(2), np.array([[0.0, 0.5], [-0.5, 0.0]]))
